@@ -89,9 +89,10 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def _accumulate(self, g: np.ndarray) -> None:
-        if self._grad is None:
-            self._grad = np.zeros_like(self.data)
-        self._grad += g
+        if self._grad is None:  # g + 0.0 is a fresh array, bitwise equal to zeros + g
+            self._grad = g + 0.0 if g.shape == self.data.shape else np.zeros_like(self.data) + g
+        else:
+            self._grad += g
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -105,7 +106,7 @@ class OpRecord:
     def __init__(self, kind: str, inputs: Sequence[Tensor], out: Tensor,
                  backward_fn: Callable[[np.ndarray], None]):
         self.kind = kind
-        self.input_ids = tuple(t.node_id for t in inputs)
+        self.input_ids = tuple([t.node_id for t in inputs])
         self.output_id = out.node_id
         self.out = out
         self.backward_fn = backward_fn
@@ -125,17 +126,6 @@ class Graph:
 
 _active_graph = Graph()
 _grad_enabled = True
-
-
-def active_graph() -> Graph:
-    return _active_graph
-
-
-def new_graph() -> Graph:
-    """Replace the active graph with a fresh one (define-by-run reset)."""
-    global _active_graph
-    _active_graph = Graph()
-    return _active_graph
 
 
 @contextmanager
@@ -187,7 +177,7 @@ def zeros(shape) -> Tensor:
 
 def _make(kind: str, inputs: Sequence[Tensor], data: np.ndarray,
           backward_fn: Callable[[np.ndarray], None] | None) -> Tensor:
-    track = _grad_enabled and any(t.requires_grad for t in inputs)
+    track = _grad_enabled and any([t.requires_grad for t in inputs])
     out = Tensor(data, requires_grad=track)
     if track and backward_fn is not None:
         _active_graph.nodes.append(OpRecord(kind, inputs, out, backward_fn))
@@ -217,6 +207,8 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
+    if a.data.shape == b.data.shape:
+        return
     try:
         np.broadcast_shapes(a.shape, b.shape)
     except ValueError:
@@ -299,8 +291,8 @@ def tanh(a: Tensor) -> Tensor:
 
 def sigmoid(a: Tensor) -> Tensor:
     x = a.data
-    data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    data = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def bw(g):
         if a.requires_grad:
@@ -345,9 +337,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def bw(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
+            a._accumulate(_unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape))
         if b.requires_grad:
-            b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+            b._accumulate(_unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
 
     return _make("matmul", (a, b), data, bw)
 

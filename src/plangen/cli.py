@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
-
-import numpy as np
 
 from . import autodiff as ad
 from . import inference, metrics, synth
 from .corpus import (
     DataError,
-    Game,
     MacroPlan,
     build_plan_pool,
     extract_oracle_plan,
@@ -31,7 +29,6 @@ from .harness import full_loss_grad_check, primitive_grad_checks
 from .training import (
     TrainConfig,
     load_checkpoint,
-    prepare_game,
     save_checkpoint,
     train,
     write_loss_log,
@@ -76,6 +73,12 @@ def _parse_value(raw: str):
     return text
 
 
+# Keys a config file may set: every TrainConfig / DecodeConfig field except
+# the tuned bin policy, which only a checkpoint carries.
+CONFIG_KEYS = frozenset(f.name for cls in (TrainConfig, inference.DecodeConfig)
+                        for f in fields(cls)) - {"bin_policy"}
+
+
 def read_config_file(path) -> dict:
     """`key = value` lines; '#' starts a comment."""
     out: dict = {}
@@ -87,34 +90,31 @@ def read_config_file(path) -> dict:
             if "=" not in line:
                 raise DataError(f"{path}: line {line_no}: expected key = value")
             key, _, raw = line.partition("=")
-            out[key.strip().replace("-", "_")] = _parse_value(raw)
+            key = key.strip().replace("-", "_")
+            if key not in CONFIG_KEYS:
+                raise DataError(f"{path}: line {line_no}: unknown key {key!r}")
+            out[key] = _parse_value(raw)
     return out
 
 
-def _effective(args: argparse.Namespace, key: str, default=None):
-    """flag > config file > profile > built-in default."""
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    file_cfg = getattr(args, "_file_config", {})
-    if key in file_cfg:
-        return file_cfg[key]
-    profile = PROFILES.get(getattr(args, "profile", None) or "", {})
-    if key in profile:
-        return profile[key]
-    return default
+def _build_config(cls, args: argparse.Namespace):
+    """``cls`` from profile < config file < flags; fields set nowhere keep
+    the dataclass default.  A flag left at None was not given, but a None
+    from a profile or file is a setting (``max_unigram_repeats``)."""
+    names = {f.name for f in fields(cls)}
+    flags = {k: v for k, v in vars(args).items() if v is not None}
+    merged = {}
+    for layer in (PROFILES.get(args.profile or "", {}), args._file_config, flags):
+        merged.update((k, v) for k, v in layer.items() if k in names)
+    return cls(**merged)
 
 
-def _decode_config(args: argparse.Namespace, tuned_bins: dict[str, int]) -> inference.DecodeConfig:
-    return inference.DecodeConfig(
-        max_paragraphs=_effective(args, "max_paragraphs", 8),
-        beam_size=_effective(args, "beam_size", 5),
-        max_paragraph_len=_effective(args, "max_paragraph_len", 30),
-        block_plan_bigrams=_effective(args, "block_plan_bigrams", True),
-        block_consecutive_unigram=_effective(args, "block_consecutive_unigram", True),
-        max_unigram_repeats=_effective(args, "max_unigram_repeats", 2),
-        bin_policy=tuned_bins,
-    )
+def _read_games(path):
+    """A corpus that must hold at least one game."""
+    games = read_corpus(path)
+    if not games:
+        raise DataError(f"{path}: corpus holds no games")
+    return games
 
 
 def cmd_make_toy(args: argparse.Namespace) -> int:
@@ -136,22 +136,9 @@ def cmd_make_toy(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     schema = read_schema(args.schema)
-    train_games = read_corpus(args.train)
-    valid_games = read_corpus(args.valid)
-    cfg = TrainConfig(
-        learning_rate=_effective(args, "learning_rate", 0.15),
-        lam=_effective(args, "lam", 2.0),
-        decay_slope=_effective(args, "decay_slope", 1.0 / 500.0),
-        temperature=_effective(args, "temperature", 0.1),
-        batch_size=_effective(args, "batch_size", 4),
-        epochs=_effective(args, "epochs", 10),
-        seed=_effective(args, "seed", 0),
-        bins=_effective(args, "bins", 4),
-        clip_norm=_effective(args, "clip_norm", 5.0),
-        hidden=_effective(args, "hidden", 32),
-        embed=_effective(args, "embed", 32),
-        min_count=_effective(args, "min_count", 1),
-    )
+    train_games = _read_games(args.train)
+    valid_games = _read_games(args.valid)
+    cfg = _build_config(TrainConfig, args)
 
     def progress(epoch, acc, loss):
         loss_txt = f"{loss:.3f}" if loss is not None else "-"
@@ -176,7 +163,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
     games = read_corpus(args.corpus)
     if getattr(args, "profile", None) is None and "profile" in ckpt.config:
         args.profile = ckpt.config["profile"]
-    cfg = _decode_config(args, ckpt.tuned_bins)
+    cfg = _build_config(inference.DecodeConfig, args)
+    cfg.bin_policy = ckpt.tuned_bins
     results, pools = [], []
     for game in games:
         pool = build_plan_pool(schema, game.table)
@@ -191,10 +179,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     schema = read_schema(args.schema)
-    gold = read_corpus(args.gold)
+    gold = _read_games(args.gold)
     rows = inference.read_generations(args.generated)
     if len(rows) != len(gold):
-        raise DataError(f"generated file has {len(rows)} rows, gold corpus {len(gold)}")
+        raise DataError(f"{args.generated}: {len(rows)} rows, but {args.gold} "
+                        f"holds {len(gold)} games")
     report = metrics.evaluate_corpus(
         [row.paragraphs for row in rows],
         [g.document for g in gold],

@@ -50,10 +50,11 @@ def lstm_cell(p: LSTMParams, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, T
     """One step for a (batch, input_dim) input; returns (h', c')."""
     gates = ad.add(ad.add(ad.matmul(x, p.wx), ad.matmul(h, p.wh)), p.b)
     hid = p.hidden
-    i = ad.sigmoid(ad.narrow(gates, -1, 0, hid))
-    f = ad.sigmoid(ad.narrow(gates, -1, hid, hid))
+    sig = ad.sigmoid(gates)  # one op for the three sigmoid gates
+    i = ad.narrow(sig, -1, 0, hid)
+    f = ad.narrow(sig, -1, hid, hid)
     g = ad.tanh(ad.narrow(gates, -1, 2 * hid, hid))
-    o = ad.sigmoid(ad.narrow(gates, -1, 3 * hid, hid))
+    o = ad.narrow(sig, -1, 3 * hid, hid)
     c2 = ad.add(ad.mul(f, c), ad.mul(i, g))
     h2 = ad.mul(o, ad.tanh(c2))
     return h2, c2
@@ -144,7 +145,6 @@ class PoolEncoding:
     attn_weights: Tensor     # (B, L)
 
     def plan_vector(self, j: int) -> Tensor:
-        b = self.pooled.shape[0]
         return ad.narrow(self.pooled, 0, j, 1)
 
     def plan_token_states(self, j: int) -> Tensor:
@@ -207,11 +207,6 @@ def encode_paragraphs(enc: EncoderParams, paragraphs: list[list[int]]) -> PoolEn
     """Batched text encoding; row t of ``pooled`` is r_y for paragraph t."""
     return _encode_batch(enc, enc.text_fw, enc.text_bw, enc.q_text, enc.attn_text_w,
                          paragraphs)
-
-
-def encode_paragraph(enc: EncoderParams, tokens: list[int]) -> Tensor:
-    """Single-paragraph vector of dimension 2H."""
-    return encode_paragraphs(enc, [tokens]).pooled
 
 
 def encode_pool(enc: EncoderParams, plans: list[list[int]]) -> PoolEncoding:

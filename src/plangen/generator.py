@@ -133,6 +133,22 @@ class BeamHypothesis:
         return self.log_prob / max(steps, 1)
 
 
+# Per-step allowance for log-probabilities above 0: a copy entry can sum
+# to 1 plus a few ulps.
+_STEP_SLACK = 1e-14
+
+
+def _cannot_overtake(finished: list[BeamHypothesis], live: list[BeamHypothesis],
+                     max_len: int) -> bool:
+    """True once no live hypothesis can finish above the best finished one:
+    later steps only add log-probabilities and a finished score divides by
+    at most ``max_len``, so c = log-probability + slack bounds a live
+    hypothesis's final score by max(c, c / max_len)."""
+    best = max(h.score() for h in finished)
+    ceilings = (h.log_prob + max_len * _STEP_SLACK for h in live)
+    return all(best > max(c, c / max_len) for c in ceilings)
+
+
 def generate_paragraph(dec: DecoderParams, enc: EncoderParams, r_z: Tensor,
                        plan_token_states: Tensor, plan_token_ids: list[int],
                        bin_id: int, h_y_prev: Tensor, vocab: Vocab,
@@ -143,6 +159,8 @@ def generate_paragraph(dec: DecoderParams, enc: EncoderParams, r_z: Tensor,
     EOS step counts for finished ones).  EOS is disallowed as the first
     token so paragraphs are never empty.  Finished hypotheses win over
     truncated ones; ties break on the token sequence for determinism.
+    The search ends early once no live hypothesis can still finish above
+    the best finished one, which leaves the result unchanged.
     """
     if beam_size < 1:
         raise ParameterError(f"beam size must be >= 1, got {beam_size}")
@@ -177,7 +195,7 @@ def generate_paragraph(dec: DecoderParams, enc: EncoderParams, r_z: Tensor,
                     finished.append(cand)
                 elif len(live) < beam_size:
                     live.append(cand)
-            if not live:
+            if not live or (finished and _cannot_overtake(finished, live, max_len)):
                 break
         pool = finished if finished else live
         truncated = not finished

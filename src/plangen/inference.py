@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .corpus import DataError, Document, MacroPlan, PlanPool, Vocab, parse_summary
+from .corpus import DataError, MacroPlan, PlanPool, Vocab, parse_summary
 from .encoders import (
     encode_paragraphs,
     encode_pool,
@@ -26,6 +26,7 @@ from .encoders import (
     step_text_state,
 )
 from .generator import generate_paragraph
+from .metrics import bleu
 from .planner import prior_plan_distribution
 
 
@@ -84,9 +85,6 @@ class GenerationResult:
     plan: MacroPlan
     truncated_paragraphs: list[bool]
 
-    def to_document(self) -> Document:
-        return Document(self.paragraphs)
-
 
 def generate_document(model, pool: PlanPool, ext_plan_tokens: list[list[int]],
                       vocab: Vocab, cfg: DecodeConfig) -> GenerationResult:
@@ -123,31 +121,36 @@ def generate_document(model, pool: PlanPool, ext_plan_tokens: list[list[int]],
                             truncated_paragraphs=truncated)
 
 
-def tune_bins(model, prepared_valid, vocab: Vocab, bins) -> dict[str, int]:
+def observed_bin_modes(prepared) -> dict[str, int]:
+    """Most frequent observed bin per plan kind (starting point for tuning)."""
+    tallies: dict[str, Counter] = {}
+    for pg in prepared:
+        for step, b in zip(pg.oracle_steps, pg.bin_ids):
+            tallies.setdefault(pg.pool[step].kind, Counter())[b] += 1
+    return {kind: max(sorted(counts), key=lambda b: counts[b])
+            for kind, counts in tallies.items()}
+
+
+def greedy_bleu(model, prepared, vocab: Vocab, bin_policy: dict[str, int]) -> float:
+    """Corpus BLEU of greedy (beam 1) generations against the gold summaries."""
+    cfg = DecodeConfig(beam_size=1, bin_policy=dict(bin_policy))
+    cands = []
+    for pg in prepared:
+        result = generate_document(model, pg.pool, pg.ext_plan_tokens, vocab, cfg)
+        cands.append([tok for para in result.paragraphs for tok in para])
+    return bleu(cands, [pg.game.document.all_tokens() for pg in prepared])
+
+
+def tune_bins(model, prepared_valid, vocab: Vocab) -> dict[str, int]:
     """Pick the bin maximizing validation BLEU per plan kind (greedy decode,
     one coordinate-ascent pass in fixed kind order, ties to the lower bin)."""
-    from .metrics import bleu
-    from .training import _observed_bin_modes
-
-    policy = _observed_bin_modes(prepared_valid)
+    policy = observed_bin_modes(prepared_valid)
     if not prepared_valid:
         return policy
-    refs = [pg.game.document.all_tokens() for pg in prepared_valid]
-
-    def score(p: dict[str, int]) -> float:
-        cfg = DecodeConfig(beam_size=1, bin_policy=dict(p))
-        cands = []
-        for pg in prepared_valid:
-            result = generate_document(model, pg.pool, pg.ext_plan_tokens, vocab, cfg)
-            cands.append([tok for para in result.paragraphs for tok in para])
-        return bleu(cands, refs)
-
     for kind in sorted(policy):
         best_bin, best_score = None, None
         for b in range(model.config.bins):
-            trial = dict(policy)
-            trial[kind] = b
-            s = score(trial)
+            s = greedy_bleu(model, prepared_valid, vocab, {**policy, kind: b})
             if best_score is None or s > best_score:
                 best_bin, best_score = b, s
         policy[kind] = best_bin

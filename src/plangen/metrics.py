@@ -88,9 +88,14 @@ def rg(relations: Sequence[Relation], table: Table) -> tuple[float, float]:
     """
     if not relations:
         return 0.0, 0.0
-    facts = {(r.entity_id, r.value, r.type_key) for r in table.records}
-    hits = sum(1 for r in relations if (r.entity, r.value, r.type_key) in facts)
+    hits = _supported_count(relations, table)
     return float(len(relations)), 100.0 * hits / len(relations)
+
+
+def _supported_count(relations: Sequence[Relation], table: Table) -> int:
+    """How many relations name an (entity, value, type) record of the table."""
+    facts = {(r.entity_id, r.value, r.type_key) for r in table.records}
+    return sum(1 for r in relations if (r.entity, r.value, r.type_key) in facts)
 
 
 def cs(rel_gen: Sequence, rel_gold: Sequence) -> tuple[float, float, float]:
@@ -195,9 +200,8 @@ def evaluate_corpus(generated, gold, tables: Sequence[Table],
         rel_gold = extract_relations(gold_doc, frames)
         if not rel_gen:
             empty = True
-        facts = {(r.entity_id, r.value, r.type_key) for r in table.records}
         total_rel += len(rel_gen)
-        total_hits += sum(1 for r in rel_gen if (r.entity, r.value, r.type_key) in facts)
+        total_hits += _supported_count(rel_gen, table)
         p, r, f = cs(rel_gen, rel_gold)
         cs_p += p
         cs_r += r

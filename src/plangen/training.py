@@ -1,34 +1,37 @@
 """Interleaved per-paragraph training: ELBO with distant supervision,
 scheduled sampling, AdaGrad updates, and checkpointing.
 
-Per game the loss walks paragraphs t = 1..T: encode the observed
-paragraph, form the posterior (from the updated text state) and the
-prior (from the previous one), accumulate the exact categorical KL and
-the log posterior probability of the oracle step, pick the next plan
-(oracle with probability eps_k, otherwise a Gumbel-Softmax sample from
-the posterior), teacher-force the paragraph under the chosen plan, and
-advance both recurrences.  A terminal step after the last paragraph
-supervises selection of the reserved EOP pool entry, which is how
-inference learns to stop.  Reconstruction is summed over tokens, the
-whole document is backpropagated (no truncation), and the minimized
-total is -(reconstruction - KL + lambda * supervision).
+The per-game loss has two phases.  The planning walk visits paragraphs
+t = 1..T: encode the observed paragraph, form the posterior (from the
+updated text state) and the prior (from the previous one), accumulate
+the exact categorical KL and the log posterior probability of the
+oracle step, pick the next plan (oracle with probability eps_k,
+otherwise a Gumbel-Softmax sample from the posterior), and advance both
+recurrences.  A terminal step after the last paragraph supervises
+selection of the reserved EOP pool entry, which is how inference learns
+to stop.  The decoder sees the walk only through the discrete chosen
+plan and the text state before each paragraph, so the second phase
+teacher-forces every paragraph under its chosen plan afterwards.
+Reconstruction is summed over tokens, the whole document is
+backpropagated (no truncation), and the minimized total is
+-(reconstruction - KL + lambda * supervision).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
+from . import inference
 from .autodiff import NumericError, Tensor
 from .corpus import (
     RESERVED,
     BinAssignment,
     DataError,
     Game,
-    MacroPlan,
     PlanPool,
     Schema,
     Vocab,
@@ -38,8 +41,8 @@ from .corpus import (
     extract_oracle_plan,
 )
 from .encoders import (
-    ContextState,
     EncoderParams,
+    PoolEncoding,
     encode_paragraphs,
     encode_pool,
     initial_state,
@@ -200,17 +203,90 @@ def _scalar(x: float) -> Tensor:
     return ad.const([[x]])
 
 
-def _paragraph_log_prob(model: ModelParams, pg: PreparedGame, plan_idx: int,
-                        bin_id: int, h_y_prev: Tensor, pool_enc,
-                        paragraph: list[int], vocab_size: int,
-                        bos_id: int, eos_id: int) -> Tensor:
+@dataclass
+class PlanWalk:
+    """Planning phase of one game.
+
+    ``chosen[t]`` is the plan paragraph t is decoded under and
+    ``h_y_prev[t]`` the text state before it; ``hits`` counts posterior
+    argmax == oracle over all T + 1 steps, terminal EOP included.
+    """
+
+    pool_enc: PoolEncoding
+    chosen: list[int]
+    h_y_prev: list[Tensor]
+    kl: Tensor
+    supervision: Tensor
+    hits: int
+    oracle_steps_used: int
+    sampled_steps: int
+
+
+def plan_walk(model: ModelParams, pg: PreparedGame, eps: float, temperature: float,
+              rng: np.random.Generator) -> PlanWalk:
+    """Prior, posterior, exact KL and supervision per step, then the
+    scheduled-sampling choice (one coin per paragraph, Gumbel noise only
+    on the sampled path) and both state updates."""
+    pool_enc = encode_pool(model.encoder, pg.ext_plan_tokens)
+    para_enc = encode_paragraphs(model.encoder, pg.paragraph_ids)
+    state = initial_state(model.encoder)
+    n = len(pg.paragraph_ids)
+    kl = _scalar(0.0)
+    sup = _scalar(0.0)
+    chosen: list[int] = []
+    h_y_prev: list[Tensor] = []
+    hits = oracle_used = sampled = 0
+
+    for t in range(n + 1):
+        prior = prior_plan_distribution(model.planner, state.h_z, state.h_y,
+                                        pool_enc.pooled)
+        if t == n:  # terminal step: the document ended, so the oracle picks EOP
+            next_text, target = state, pg.eop_index
+        else:
+            r_y = ad.narrow(para_enc.pooled, 0, t, 1)
+            next_text = step_text_state(model.encoder, r_y, state)
+            target = pg.oracle_steps[t]
+        post = posterior_plan_distribution(model.planner, state.h_z, next_text.h_y,
+                                           pool_enc.pooled)
+        step_kl = kl_divergence(post, prior)
+        if step_kl.item() < KL_FLOOR:
+            raise NumericError(f"negative KL {step_kl.item()} at "
+                               + ("terminal step" if t == n else f"paragraph {t}"))
+        kl = ad.add(kl, ad.reshape(step_kl, (1, 1)))
+        sup = ad.add(sup, ad.gather_last(post.log_probs, [target]))
+        hits += int(post.argmax() == target)
+        if t == n:
+            break
+
+        if use_oracle_step(eps, rng):
+            choice = target
+            r_z = pool_enc.plan_vector(choice)
+            oracle_used += 1
+        else:
+            noise = ad.sample_gumbel(rng, (1, len(pg.ext_plan_tokens)))
+            choice, relaxed = sample_plan(post, temperature, noise, mode="gumbel")
+            r_z = ad.matmul(relaxed, pool_enc.pooled)
+            sampled += 1
+        chosen.append(choice)
+        h_y_prev.append(state.h_y)
+        state = step_plan_state(model.encoder, r_z, next_text)
+
+    return PlanWalk(pool_enc=pool_enc, chosen=chosen, h_y_prev=h_y_prev, kl=kl,
+                    supervision=sup, hits=hits, oracle_steps_used=oracle_used,
+                    sampled_steps=sampled)
+
+
+def _paragraph_log_prob(model: ModelParams, pg: PreparedGame, walk: PlanWalk, t: int,
+                        vocab: Vocab) -> Tensor:
+    """Teacher-forced log-probability of paragraph t under its chosen plan."""
+    plan_idx, h_y_prev, pool_enc = walk.chosen[t], walk.h_y_prev[t], walk.pool_enc
     state = init_decoder(
-        model.decoder, pool_enc.plan_vector(plan_idx), bin_id, h_y_prev,
+        model.decoder, pool_enc.plan_vector(plan_idx), pg.bin_ids[t], h_y_prev,
         pool_enc.plan_token_states(plan_idx), pg.ext_plan_tokens[plan_idx],
-        vocab_size)
+        model.config.vocab_size)
     total = _scalar(0.0)
-    prev = bos_id
-    for target in paragraph + [eos_id]:
+    prev = vocab.bos_id
+    for target in pg.paragraph_ids[t] + [vocab.eos_id]:
         probs, state = decode_step(model.decoder, model.encoder, prev, state, h_y_prev)
         total = ad.add(total, ad.log(ad.gather_last(probs, [target])))
         prev = target
@@ -219,65 +295,20 @@ def _paragraph_log_prob(model: ModelParams, pg: PreparedGame, plan_idx: int,
 
 def compute_loss(model: ModelParams, pg: PreparedGame, cfg: TrainConfig,
                  k: int, rng: np.random.Generator, vocab: Vocab) -> LossBreakdown:
-    """Single-game loss at training step k, consuming rng draws in a fixed
-    order (one substitution coin per paragraph, then Gumbel noise only when
-    the sampled path is taken)."""
+    """Single-game loss at training step k: the planning walk (the only
+    consumer of ``rng``), then reconstruction in paragraph order."""
     eps = scheduled_sampling_rate(k, cfg.decay_slope)
-    pool_enc = encode_pool(model.encoder, pg.ext_plan_tokens)
-    para_enc = encode_paragraphs(model.encoder, pg.paragraph_ids)
-    state = initial_state(model.encoder)
-    n_ext = len(pg.ext_plan_tokens)
-    vocab_size = model.config.vocab_size
-
+    walk = plan_walk(model, pg, eps, cfg.temperature, rng)
     recon = _scalar(0.0)
-    kl = _scalar(0.0)
-    sup = _scalar(0.0)
-    oracle_used = sampled = 0
-
-    for t, paragraph in enumerate(pg.paragraph_ids):
-        r_y = ad.narrow(para_enc.pooled, 0, t, 1)
-        prior = prior_plan_distribution(model.planner, state.h_z, state.h_y,
-                                        pool_enc.pooled)
-        next_text = step_text_state(model.encoder, r_y, state)
-        post = posterior_plan_distribution(model.planner, state.h_z, next_text.h_y,
-                                           pool_enc.pooled)
-        step_kl = kl_divergence(post, prior)
-        if step_kl.item() < KL_FLOOR:
-            raise NumericError(f"negative KL {step_kl.item()} at paragraph {t}")
-        kl = ad.add(kl, ad.reshape(step_kl, (1, 1)))
-        sup = ad.add(sup, ad.gather_last(post.log_probs, [pg.oracle_steps[t]]))
-
-        if use_oracle_step(eps, rng):
-            chosen = pg.oracle_steps[t]
-            r_z = pool_enc.plan_vector(chosen)
-            oracle_used += 1
-        else:
-            noise = ad.sample_gumbel(rng, (1, n_ext))
-            chosen, relaxed = sample_plan(post, cfg.temperature, noise, mode="gumbel")
-            r_z = ad.matmul(relaxed, pool_enc.pooled)
-            sampled += 1
-
-        recon = ad.add(recon, _paragraph_log_prob(
-            model, pg, chosen, pg.bin_ids[t], state.h_y, pool_enc, paragraph,
-            vocab_size, vocab.bos_id, vocab.eos_id))
-        state = step_plan_state(model.encoder, r_z, next_text)
-
-    # terminal step: the document ended, so the oracle picks EOP
-    prior = prior_plan_distribution(model.planner, state.h_z, state.h_y,
-                                    pool_enc.pooled)
-    post = posterior_plan_distribution(model.planner, state.h_z, state.h_y,
-                                       pool_enc.pooled)
-    step_kl = kl_divergence(post, prior)
-    if step_kl.item() < KL_FLOOR:
-        raise NumericError(f"negative KL {step_kl.item()} at terminal step")
-    kl = ad.add(kl, ad.reshape(step_kl, (1, 1)))
-    sup = ad.add(sup, ad.gather_last(post.log_probs, [pg.eop_index]))
-
+    for t in range(len(pg.paragraph_ids)):
+        recon = ad.add(recon, _paragraph_log_prob(model, pg, walk, t, vocab))
+    kl, sup = walk.kl, walk.supervision
     total = ad.neg(ad.add(ad.sub(recon, kl), ad.mul(_scalar(cfg.lam), sup)))
     return LossBreakdown(
         reconstruction=recon.item(), kl=kl.item(), supervision=sup.item(),
         total=total.item(), total_tensor=total,
-        oracle_steps_used=oracle_used, sampled_steps=sampled, epsilon=eps)
+        oracle_steps_used=walk.oracle_steps_used, sampled_steps=walk.sampled_steps,
+        epsilon=eps)
 
 
 def adagrad_update(named: dict[str, Tensor], accumulators: dict[str, np.ndarray],
@@ -291,28 +322,18 @@ def adagrad_update(named: dict[str, Tensor], accumulators: dict[str, np.ndarray]
 
 
 def plan_selection_accuracy(model: ModelParams, prepared: list[PreparedGame]) -> float:
-    """Teacher-forced posterior accuracy against oracle plans, terminal EOP
-    step included; oracle choices drive both recurrences."""
-    correct = total = 0
+    """Posterior-argmax accuracy against oracle plans, terminal EOP step
+    included: the planning walk at eps = 1, so oracle choices drive both
+    recurrences."""
+    # eps = 1 still draws one coin per paragraph; a private generator keeps
+    # the training stream untouched.
+    coins = np.random.default_rng(0)
+    hits = total = 0
     with ad.no_grad():
         for pg in prepared:
-            pool_enc = encode_pool(model.encoder, pg.ext_plan_tokens)
-            para_enc = encode_paragraphs(model.encoder, pg.paragraph_ids)
-            state = initial_state(model.encoder)
-            for t in range(len(pg.paragraph_ids)):
-                r_y = ad.narrow(para_enc.pooled, 0, t, 1)
-                next_text = step_text_state(model.encoder, r_y, state)
-                post = posterior_plan_distribution(
-                    model.planner, state.h_z, next_text.h_y, pool_enc.pooled)
-                correct += int(post.argmax() == pg.oracle_steps[t])
-                total += 1
-                state = step_plan_state(
-                    model.encoder, pool_enc.plan_vector(pg.oracle_steps[t]), next_text)
-            post = posterior_plan_distribution(model.planner, state.h_z, state.h_y,
-                                               pool_enc.pooled)
-            correct += int(post.argmax() == pg.eop_index)
-            total += 1
-    return correct / total if total else 0.0
+            hits += plan_walk(model, pg, 1.0, TrainConfig.temperature, coins).hits
+            total += len(pg.paragraph_ids) + 1
+    return hits / total if total else 0.0
 
 
 @dataclass
@@ -338,8 +359,6 @@ def train(schema: Schema, train_games: list[Game], valid_games: list[Game],
     """Full optimization with summary-level batches, gradient clipping, and
     best-validation-accuracy checkpoint retention (BLEU tiebreak, greedy
     decoding).  Deterministic given the seed."""
-    from . import inference  # local import to keep module layering acyclic
-
     rng = np.random.default_rng(cfg.seed)
     vocab = build_vocab(train_games, schema, cfg.min_count)
     lengths = [len(p) for g in train_games for p in g.document.paragraphs]
@@ -359,7 +378,8 @@ def train(schema: Schema, train_games: list[Game], valid_games: list[Game],
     def valid_bleu_for(params_snapshot: dict[str, np.ndarray]) -> float:
         keep = model.snapshot()
         model.restore(params_snapshot)
-        score = _greedy_valid_bleu(model, prepared_valid, vocab, bins)
+        score = inference.greedy_bleu(model, prepared_valid, vocab,
+                                      inference.observed_bin_modes(prepared_valid))
         model.restore(keep)
         return score
 
@@ -406,37 +426,10 @@ def train(schema: Schema, train_games: list[Game], valid_games: list[Game],
 
     assert best is not None
     model.restore(best["params"])
-    tuned = inference.tune_bins(model, prepared_valid, vocab, bins)
+    tuned = inference.tune_bins(model, prepared_valid, vocab)
     return TrainResult(model=model, vocab=vocab, bins=bins, tuned_bins=tuned,
                        history=history, best_epoch=best["epoch"],
                        best_accuracy=best["accuracy"])
-
-
-def _greedy_valid_bleu(model: ModelParams, prepared_valid: list[PreparedGame],
-                       vocab: Vocab, bins: BinAssignment) -> float:
-    from . import inference
-    from .metrics import bleu
-
-    cfg = inference.DecodeConfig(beam_size=1,
-                                 bin_policy=_observed_bin_modes(prepared_valid))
-    cands, refs = [], []
-    for pg in prepared_valid:
-        result = inference.generate_document(model, pg.pool, pg.ext_plan_tokens,
-                                             vocab, cfg)
-        cands.append([tok for para in result.paragraphs for tok in para])
-        refs.append(pg.game.document.all_tokens())
-    return bleu(cands, refs)
-
-
-def _observed_bin_modes(prepared: list[PreparedGame]) -> dict[str, int]:
-    """Most frequent observed bin per plan kind (starting point for tuning)."""
-    tallies: dict[str, dict[int, int]] = {}
-    for pg in prepared:
-        for step, b in zip(pg.oracle_steps, pg.bin_ids):
-            kind = pg.pool[step].kind
-            tallies.setdefault(kind, {})[b] = tallies.setdefault(kind, {}).get(b, 0) + 1
-    return {kind: max(sorted(counts), key=lambda b: counts[b])
-            for kind, counts in tallies.items()}
 
 
 # ---------------------------------------------------------------------------

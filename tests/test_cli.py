@@ -172,6 +172,41 @@ def test_config_file_and_flag_precedence(tmp_path, workdir):
     assert ckpt.config["epochs"] == 1
 
 
+def test_config_file_unknown_key_is_data_error(tmp_path, workdir, capsys):
+    cfg_file = tmp_path / "typo.cfg"
+    cfg_file.write_text("epochs = 1\nlerning_rate = 9\n")
+    data = workdir / "data"
+    rc = main(["train", "--config", str(cfg_file),
+               "--schema", str(data / "schema.json"),
+               "--train", str(data / "train.jsonl"),
+               "--valid", str(data / "valid.jsonl"),
+               "--checkpoint", str(tmp_path / "m.ckpt")])
+    assert rc == cli.EXIT_DATA
+    assert f"{cfg_file}: line 2: unknown key 'lerning_rate'" in capsys.readouterr().err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_train_with_empty_valid_file_is_data_error(tmp_path, workdir, capsys):
+    empty = tmp_path / "valid.jsonl"
+    empty.write_text("")
+    data = workdir / "data"
+    rc = main(["train", "--schema", str(data / "schema.json"),
+               "--train", str(data / "train.jsonl"), "--valid", str(empty),
+               "--checkpoint", str(tmp_path / "m.ckpt"), "--epochs", "1"])
+    assert rc == cli.EXIT_DATA
+    assert str(empty) in capsys.readouterr().err
+
+
+def test_evaluate_empty_files_is_data_error(tmp_path, workdir, capsys):
+    gen, gold = tmp_path / "gen.jsonl", tmp_path / "gold.jsonl"
+    gen.write_text("")
+    gold.write_text("")
+    rc = main(["evaluate", "--generated", str(gen), "--gold", str(gold),
+               "--schema", str(workdir / "data" / "schema.json")])
+    assert rc == cli.EXIT_DATA
+    assert str(gold) in capsys.readouterr().err
+
+
 def test_profiles_fix_documented_defaults():
     assert cli.PROFILES["toy"]["max_paragraphs"] == 8
     assert cli.PROFILES["rotowire-like"]["max_paragraphs"] == 15

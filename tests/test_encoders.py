@@ -9,7 +9,6 @@ from plangen import autodiff as ad
 from plangen.corpus import DataError
 from plangen.encoders import (
     EncoderParams,
-    encode_paragraph,
     encode_paragraphs,
     encode_plan,
     encode_pool,
@@ -27,13 +26,13 @@ def enc() -> EncoderParams:
 
 
 def test_paragraph_vector_dimension(enc):
-    out = encode_paragraph(enc, [4, 9, 2, 7, 7, 1, 3])
+    out = encode_paragraphs(enc, [[4, 9, 2, 7, 7, 1, 3]]).pooled
     assert out.shape == (1, 64)
 
 
 def test_encoder_determinism(enc):
-    a = encode_paragraph(enc, [5, 6, 7]).data
-    b = encode_paragraph(enc, [5, 6, 7]).data
+    a = encode_paragraphs(enc, [[5, 6, 7]]).pooled.data
+    b = encode_paragraphs(enc, [[5, 6, 7]]).pooled.data
     assert np.array_equal(a, b)
 
 
@@ -45,7 +44,7 @@ def test_single_token_paragraph_equals_its_bilstm_state(enc):
 
 def test_empty_sequence_is_input_error(enc):
     with pytest.raises(DataError):
-        encode_paragraph(enc, [])
+        encode_paragraphs(enc, [[]])
 
 
 def test_plan_token_states_lengths(enc):
@@ -83,9 +82,9 @@ def test_batched_encoding_matches_single(enc):
 def test_state_stepping_is_pure_and_compositional(enc):
     state = initial_state(enc)
     assert state.t == 0
-    r1 = encode_paragraph(enc, [4, 5])
-    r2 = encode_paragraph(enc, [6, 7, 8])
-    r3 = encode_paragraph(enc, [9])
+    r1 = encode_paragraphs(enc, [[4, 5]]).pooled
+    r2 = encode_paragraphs(enc, [[6, 7, 8]]).pooled
+    r3 = encode_paragraphs(enc, [[9]]).pooled
 
     once = step_text_state(enc, r1, state)
     again = step_text_state(enc, r1, state)
@@ -140,7 +139,7 @@ def test_gradients_reach_embeddings_of_every_input_token(enc):
     tokens = [7, 11, 13]
     with ad.graph_scope() as g:
         enc.emb.zero_grad()
-        r = encode_paragraph(enc, tokens)
+        r = encode_paragraphs(enc, [tokens]).pooled
         ad.backward(ad.sum_(r), g)
     emb_grad = enc.emb.grad_matrix()
     for tok in tokens:

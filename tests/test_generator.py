@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from plangen import autodiff as ad
+from plangen import generator
 from plangen.corpus import DataError, Vocab
 from plangen.encoders import EncoderParams, encode_plan
 from plangen.generator import (
@@ -249,3 +250,35 @@ def test_truncation_is_flagged(model, vocab):
         dec.ff_b.data[...] = keep
     assert truncated
     assert len(out) == 5
+
+
+def test_early_stop_leaves_search_result_unchanged(model, vocab, monkeypatch):
+    enc, _ = model
+    dec = DecoderParams.create(np.random.default_rng(77), len(vocab), HID, HID, bins=3)
+    # confident continuations and likely EOS: hypotheses finish early, and a
+    # longer one can still overtake them on the length-normalized score
+    dec.ff_b.data[0, vocab.eos_id] += 4.0
+    dec.ff_b.data[0, vocab.id("w")] += 2.0
+    rng = np.random.default_rng(4321)
+    steps = {"early": 0, "full": 0}
+    mode = ["early"]
+
+    def counted_step(*args):
+        steps[mode[0]] += 1
+        return decode_step(*args)
+
+    monkeypatch.setattr(generator, "decode_step", counted_step)
+    for trial in range(20):
+        ids = [int(i) for i in rng.integers(6, len(vocab), size=3)]
+        r_z, states = _plan(enc, ids)
+        h_y = ad.const(rng.uniform(-1, 1, (1, TWO_H)))
+        for beam in (1, 3, 5):
+            args = (dec, enc, r_z, states, ids, 0, h_y, vocab, beam, 12)
+            mode[0] = "early"
+            early = generate_paragraph(*args)
+            mode[0] = "full"
+            with monkeypatch.context() as m:
+                m.setattr(generator, "_cannot_overtake", lambda *a: False)
+                full = generate_paragraph(*args)
+            assert early == full
+    assert steps["early"] < steps["full"]

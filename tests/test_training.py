@@ -142,7 +142,8 @@ def _attn_dist(pp, w_ff, b_ff, h_z, h_y, pool):
 
 
 def straight_line_loss(model, pg, cfg, k, rng, vocab):
-    """Independent numpy reimplementation of the documented loss recipe."""
+    """Independent numpy reimplementation of the documented loss recipe;
+    also counts posterior argmax == oracle over all steps, EOP included."""
     enc, pp, dec = model.encoder, model.planner, model.decoder
     eps = max(0.0, 1.0 - cfg.decay_slope * k)
 
@@ -161,6 +162,7 @@ def straight_line_loss(model, pg, cfg, k, rng, vocab):
     h_y = np.zeros((1, two_h)); c_y = np.zeros((1, two_h))
     h_z = np.zeros((1, two_h)); c_z = np.zeros((1, two_h))
     recon = kl = sup = 0.0
+    hits = 0
 
     for t, para in enumerate(pg.paragraph_ids):
         prior = _attn_dist(pp, pp.ff_plan_w.data, pp.ff_plan_b.data, h_z, h_y, pool)
@@ -168,6 +170,7 @@ def straight_line_loss(model, pg, cfg, k, rng, vocab):
         post = _attn_dist(pp, pp.ff_post_w.data, pp.ff_post_b.data, h_z, h_y2, pool)
         kl += float((post * (np.log(post) - np.log(prior))).sum())
         sup += float(np.log(post[pg.oracle_steps[t]]))
+        hits += int(np.argmax(post) == pg.oracle_steps[t])
 
         if rng.random() < eps:
             chosen = pg.oracle_steps[t]
@@ -208,9 +211,10 @@ def straight_line_loss(model, pg, cfg, k, rng, vocab):
     post = _attn_dist(pp, pp.ff_post_w.data, pp.ff_post_b.data, h_z, h_y, pool)
     kl += float((post * (np.log(post) - np.log(prior))).sum())
     sup += float(np.log(post[pg.eop_index]))
+    hits += int(np.argmax(post) == pg.eop_index)
 
     total = -(recon - kl + cfg.lam * sup)
-    return recon, kl, sup, total
+    return recon, kl, sup, total, hits
 
 
 @pytest.mark.parametrize("k", [0, 10**9])  # oracle path and sampled path
@@ -218,12 +222,22 @@ def test_loss_matches_straight_line_recomposition(k):
     fx = build_loss_fixture()
     lb = compute_loss(fx.model, fx.prepared, fx.cfg, k,
                       np.random.default_rng(42), fx.vocab)
-    recon, kl, sup, total = straight_line_loss(
+    recon, kl, sup, total, _ = straight_line_loss(
         fx.model, fx.prepared, fx.cfg, k, np.random.default_rng(42), fx.vocab)
     assert lb.reconstruction == pytest.approx(recon, abs=1e-9)
     assert lb.kl == pytest.approx(kl, abs=1e-9)
     assert lb.supervision == pytest.approx(sup, abs=1e-9)
     assert lb.total == pytest.approx(total, abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", [7, 8, 18, 21])
+def test_plan_selection_accuracy_matches_straight_line_hits(seed):
+    fx = build_loss_fixture(seed=seed)
+    # k = 0 gives eps = 1: the reference follows the oracle, as validation does
+    *_, hits = straight_line_loss(fx.model, fx.prepared, fx.cfg, 0,
+                                  np.random.default_rng(0), fx.vocab)
+    steps = len(fx.prepared.paragraph_ids) + 1
+    assert plan_selection_accuracy(fx.model, [fx.prepared]) == hits / steps
 
 
 # ---------------------------------------------------------------------------
