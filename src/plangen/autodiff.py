@@ -483,20 +483,8 @@ def gumbel_softmax_sample(logits: Tensor, temperature: float, noise) -> Tensor:
     """
     if temperature <= 0.0:
         raise ParameterError(f"gumbel temperature must be positive, got {temperature}")
-    n = noise.data if isinstance(noise, Tensor) else np.asarray(noise, dtype=np.float64)
-    z = (logits.data + n) / temperature
-    if not np.all(np.isfinite(z)):
-        raise NumericError("gumbel_softmax_sample produced non-finite logits")
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=-1, keepdims=True)
-
-    def bw(g):
-        if logits.requires_grad:
-            dot = (g * data).sum(axis=-1, keepdims=True)
-            logits._accumulate(data * (g - dot) / temperature)
-
-    return _make("gumbel_softmax", (logits,), data, bw)
+    n = noise.data if isinstance(noise, Tensor) else noise
+    return softmax(div(add(logits, const(n)), const(temperature)))
 
 
 def sample_gumbel(rng: np.random.Generator, shape) -> np.ndarray:

@@ -12,6 +12,7 @@ import argparse
 import sys
 from dataclasses import fields
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from . import autodiff as ad
 from . import inference, metrics, synth
@@ -58,25 +59,21 @@ PROFILES: dict[str, dict] = {
 }
 
 
-def _parse_value(raw: str):
-    text = raw.strip()
-    low = text.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    if low in ("none", "null"):
+# Keys a config file may set, with their field types: every TrainConfig /
+# DecodeConfig field except the tuned bin policy, which only a checkpoint carries.
+CONFIG_TYPES = {name: hint for cls in (TrainConfig, inference.DecodeConfig)
+                for name, hint in get_type_hints(cls).items() if name != "bin_policy"}
+
+
+def _parse_value(text: str, hint):
+    """``text`` as a value of field type ``hint``: int, float, bool, or one
+    of them | None.  KeyError or ValueError when it is not one."""
+    base, *none = get_args(hint) or (hint,)
+    if none and text.lower() in ("none", "null"):
         return None
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    return text
-
-
-# Keys a config file may set: every TrainConfig / DecodeConfig field except
-# the tuned bin policy, which only a checkpoint carries.
-CONFIG_KEYS = frozenset(f.name for cls in (TrainConfig, inference.DecodeConfig)
-                        for f in fields(cls)) - {"bin_policy"}
+    if base is bool:
+        return {"true": True, "false": False}[text.lower()]
+    return base(text)  # int("3.5") and float("true") raise
 
 
 def read_config_file(path) -> dict:
@@ -91,9 +88,14 @@ def read_config_file(path) -> dict:
                 raise DataError(f"{path}: line {line_no}: expected key = value")
             key, _, raw = line.partition("=")
             key = key.strip().replace("-", "_")
-            if key not in CONFIG_KEYS:
+            if key not in CONFIG_TYPES:
                 raise DataError(f"{path}: line {line_no}: unknown key {key!r}")
-            out[key] = _parse_value(raw)
+            hint, text = CONFIG_TYPES[key], raw.strip()
+            try:
+                out[key] = _parse_value(text, hint)
+            except (KeyError, ValueError):
+                raise DataError(f"{path}: line {line_no}: {key} expects "
+                                f"{getattr(hint, '__name__', hint)}, got {text!r}") from None
     return out
 
 
@@ -252,12 +254,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--valid", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--loss-log")
-    for flag, cast in [("--learning-rate", float), ("--lam", float),
-                       ("--decay-slope", float), ("--temperature", float),
-                       ("--batch-size", int), ("--epochs", int), ("--bins", int),
-                       ("--clip-norm", float), ("--hidden", int), ("--embed", int),
-                       ("--min-count", int)]:
-        p.add_argument(flag, type=cast, default=None)
+    for f in fields(TrainConfig):
+        if f.name != "seed":  # --seed is common to every command
+            p.add_argument("--" + f.name.replace("_", "-"), type=CONFIG_TYPES[f.name],
+                           default=None)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("generate", help="decode plans + summaries for a corpus")
@@ -293,7 +293,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args._file_config = read_config_file(args.config) if getattr(args, "config", None) else {}
         return args.func(args)
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (ad.NumericError, ad.DomainError, ad.ShapeError, ad.ParameterError) as exc:

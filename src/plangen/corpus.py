@@ -52,12 +52,14 @@ class Schema:
     event_types: list[str]
     team_marker: str
 
-    def validate_record(self, rec: Record) -> None:
+    def validate_records(self, records: list[Record]) -> None:
         known = set(self.entity_type_order) | set(self.event_types)
-        if rec.type_key not in known:
-            raise DataError(f"record type {rec.type_key!r} not in schema {self.name!r}")
-        if not rec.value:
-            raise DataError(f"record ({rec.entity_id}, {rec.type_key}) has empty value")
+        for rec in records:
+            if rec.type_key not in known:
+                raise DataError(f"record ({rec.entity_id}, {rec.type_key}): type not in "
+                                f"schema {self.name!r}")
+            if not rec.value:
+                raise DataError(f"record ({rec.entity_id}, {rec.type_key}) has empty value")
 
     def to_json(self) -> dict:
         return {
@@ -87,7 +89,12 @@ def write_schema(path, schema: Schema) -> None:
 
 def read_schema(path) -> Schema:
     with open(path, encoding="utf-8") as fh:
-        return Schema.from_json(json.load(fh))
+        try:
+            return Schema.from_json(json.load(fh))
+        except KeyError as exc:
+            raise DataError(f"{path}: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+            raise DataError(f"{path}: not a schema: {exc}") from exc
 
 
 @dataclass
@@ -305,6 +312,7 @@ def build_plan_pool(schema: Schema, table: Table) -> PlanPool:
     """
     if not table.entities:
         raise DataError("cannot build a plan pool from a table with no entities")
+    schema.validate_records(table.records)
     teams = table.teams(schema)
     players = [e for e in table.entities if e not in teams]
     plans: list[ParagraphPlan] = []
@@ -512,10 +520,12 @@ def read_corpus(path) -> list[Game]:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}: line {line_no} is not valid JSON: {exc}") from exc
-            table = _table_from_json(obj["table"])
-            doc = parse_summary(obj["summary"])
-            oracle = MacroPlan(steps=list(obj["plan"]), terminated=True) if "plan" in obj else None
+                table = _table_from_json(obj["table"])
+                doc = parse_summary(obj["summary"])
+                oracle = MacroPlan(list(obj["plan"]), terminated=True) if "plan" in obj else None
+            except KeyError as exc:
+                raise DataError(f"{path}: line {line_no}: missing key {exc}") from exc
+            except (TypeError, ValueError) as exc:  # JSON and data errors are ValueErrors
+                raise DataError(f"{path}: line {line_no}: {exc}") from exc
             games.append(Game(table=table, document=doc, oracle=oracle))
     return games

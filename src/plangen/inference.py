@@ -190,11 +190,13 @@ def read_generations(path) -> list[GenerationRow]:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+                summary = obj.get("summary", "")
+                paragraphs = parse_summary(summary).paragraphs if summary.strip() else []
+                rows.append(GenerationRow(plan_indices=list(obj["plan_indices"]),
+                                          terminated=bool(obj["terminated"]),
+                                          paragraphs=paragraphs))
+            except KeyError as exc:
+                raise DataError(f"{path}: line {line_no}: missing key {exc}") from exc
+            except (AttributeError, TypeError, ValueError) as exc:  # JSON errors too
                 raise DataError(f"{path}: line {line_no}: {exc}") from exc
-            summary = obj.get("summary", "")
-            paragraphs = parse_summary(summary).paragraphs if summary.strip() else []
-            rows.append(GenerationRow(plan_indices=list(obj["plan_indices"]),
-                                      terminated=bool(obj["terminated"]),
-                                      paragraphs=paragraphs))
     return rows

@@ -16,7 +16,6 @@ records anchor mentions but are not emitted as relations.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,18 +48,11 @@ PLAYER_NAMES = [
     "S.Stone", "T.Tran", "U.Udo", "V.Vance", "W.Ward", "Y.Young",
 ]
 
+PLAYERS_RANGE = (3, 5)  # 3-4 players; upper bounds are exclusive
 TPTS_RANGE = (80, 99)
 PTS_RANGE = (10, 29)
 REB_RANGE = (2, 11)
 EPTS_RANGE = (1, 8)
-
-
-@dataclass
-class ToySizes:
-    """Knobs for the synthetic table sizes."""
-
-    min_players: int = 3
-    max_players: int = 4
 
 
 def _team_paragraph(team: str, side: str, tpts: int) -> list[str]:
@@ -125,21 +117,19 @@ def _pick(rng: np.random.Generator, pool: list[str], k: int) -> list[str]:
     return [pool[int(i)] for i in order[:k]]
 
 
-def generate_toy_corpus(seed: int, n_games: int,
-                        sizes: ToySizes | None = None) -> tuple[list[Game], Schema]:
+def generate_toy_corpus(seed: int, n_games: int) -> tuple[list[Game], Schema]:
     """Deterministic synthetic games; oracle plan indices follow pool order."""
-    sizes = sizes or ToySizes()
     rng = np.random.default_rng(seed)
     games: list[Game] = []
     for _ in range(n_games):
-        games.append(_generate_game(rng, sizes))
+        games.append(_generate_game(rng))
     return games, TOY_SCHEMA
 
 
-def _generate_game(rng: np.random.Generator, sizes: ToySizes) -> Game:
+def _generate_game(rng: np.random.Generator) -> Game:
     team_v, team_h = _pick(rng, TEAM_NAMES, 2)
     teams = [team_v, team_h] if rng.integers(2) == 0 else [team_h, team_v]
-    n_players = int(rng.integers(sizes.min_players, sizes.max_players + 1))
+    n_players = int(rng.integers(*PLAYERS_RANGE))
     players = _pick(rng, PLAYER_NAMES, n_players)
     mvp_i = int(rng.integers(n_players))
     others = [i for i in range(n_players) if i != mvp_i]

@@ -480,31 +480,36 @@ def load_checkpoint(path) -> Checkpoint:
         if manifest.get("magic") != CHECKPOINT_MAGIC:
             raise DataError(f"{path}: missing checkpoint magic")
         blob = fh.read()
-    mc = manifest["model"]
-    cfg = ModelConfig(vocab_size=mc["vocab_size"], hidden=mc["hidden"],
-                      embed=mc["embed"], bins=mc["bins"])
-    model = ModelParams.create(np.random.default_rng(0), cfg)
-    named = model.named()
-    offset = 0
-    for k in sorted(named):
-        shape = tuple(manifest["tensors"][k])
-        n = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=n, offset=offset).reshape(shape)
-        named[k].data[...] = arr
-        offset += n * 8
-    if offset != len(blob):
-        raise DataError(f"{path}: checkpoint blob size mismatch")
-    tokens = manifest["vocab"]
-    vocab = Vocab(tokens[len(RESERVED):])
-    if vocab.tokens() != tokens:
-        raise DataError(f"{path}: reserved vocabulary prefix is malformed")
-    if vocab.content_hash() != manifest["vocab_hash"]:
-        raise DataError(f"{path}: vocabulary hash mismatch")
-    bins = BinAssignment(boundaries=list(manifest["bin_boundaries"]),
-                         bin_count=manifest["bin_count"])
-    return Checkpoint(model=model, vocab=vocab, bins=bins,
-                      tuned_bins=dict(manifest["tuned_bins"]),
-                      config=dict(manifest.get("config", {})))
+    try:
+        mc = manifest["model"]
+        cfg = ModelConfig(vocab_size=mc["vocab_size"], hidden=mc["hidden"],
+                          embed=mc["embed"], bins=mc["bins"])
+        model = ModelParams.create(np.random.default_rng(0), cfg)
+        named = model.named()
+        offset = 0
+        for k in sorted(named):
+            shape = tuple(manifest["tensors"][k])
+            n = int(np.prod(shape)) if shape else 1
+            if offset + n * 8 > len(blob):
+                raise DataError(f"{path}: checkpoint blob ends inside tensor {k!r}")
+            arr = np.frombuffer(blob, dtype="<f8", count=n, offset=offset).reshape(shape)
+            named[k].data[...] = arr
+            offset += n * 8
+        if offset != len(blob):
+            raise DataError(f"{path}: checkpoint blob size mismatch")
+        tokens = manifest["vocab"]
+        vocab = Vocab(tokens[len(RESERVED):])
+        if vocab.tokens() != tokens:
+            raise DataError(f"{path}: reserved vocabulary prefix is malformed")
+        if vocab.content_hash() != manifest["vocab_hash"]:
+            raise DataError(f"{path}: vocabulary hash mismatch")
+        bins = BinAssignment(boundaries=list(manifest["bin_boundaries"]),
+                             bin_count=manifest["bin_count"])
+        return Checkpoint(model=model, vocab=vocab, bins=bins,
+                          tuned_bins=dict(manifest["tuned_bins"]),
+                          config=dict(manifest.get("config", {})))
+    except KeyError as exc:
+        raise DataError(f"{path}: checkpoint manifest lacks {exc}") from exc
 
 
 def write_loss_log(path, history: list[dict]) -> None:

@@ -186,6 +186,84 @@ def test_config_file_unknown_key_is_data_error(tmp_path, workdir, capsys):
     assert not (tmp_path / "m.ckpt").exists()
 
 
+@pytest.mark.parametrize("line, message", [
+    ("epochs = abc", "epochs expects int, got 'abc'"),
+    ("hidden = 3.5", "hidden expects int, got '3.5'"),
+    ("learning_rate = true", "learning_rate expects float, got 'true'"),
+    ("max_unigram_repeats = some", "max_unigram_repeats expects int | None, got 'some'"),
+], ids=["epochs", "hidden", "learning_rate", "max_unigram_repeats"])
+def test_config_file_value_of_wrong_type_is_data_error(tmp_path, workdir, capsys,
+                                                       line, message):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(f"seed = 1\n{line}\n")
+    data = workdir / "data"
+    rc = main(["train", "--config", str(cfg_file),
+               "--schema", str(data / "schema.json"),
+               "--train", str(data / "train.jsonl"),
+               "--valid", str(data / "valid.jsonl"),
+               "--checkpoint", str(tmp_path / "m.ckpt")])
+    assert rc == cli.EXIT_DATA
+    assert f"{cfg_file}: line 2: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def _corpus_without_table(src: Path, dst: Path) -> None:
+    first = src.read_text().splitlines()[0]
+    dst.write_text(first + "\n" + json.dumps({"summary": "a b ."}) + "\n")
+
+
+def _truncated_checkpoint(src: Path, dst: Path) -> None:
+    dst.write_bytes(src.read_bytes()[:-12])
+
+
+def _checkpoint_missing_tensor(src: Path, dst: Path) -> None:
+    header, _, blob = src.read_bytes().partition(b"\n")
+    manifest = json.loads(header)
+    del manifest["tensors"]["enc.emb"]
+    dst.write_bytes(json.dumps(manifest).encode() + b"\n" + blob)
+
+
+def _schema_missing_key(src: Path, dst: Path) -> None:
+    obj = json.loads(src.read_text())
+    del obj["team_marker"]
+    dst.write_text(json.dumps(obj))
+
+
+def _schema_is_directory(src: Path, dst: Path) -> None:
+    dst.mkdir()
+
+
+# fault -> (the generate input it breaks, how, what the message must say)
+INPUT_FAULTS = {
+    "corpus_without_table": ("--corpus", _corpus_without_table,
+                             "line 2: missing key 'table'"),
+    "truncated_checkpoint": ("--checkpoint", _truncated_checkpoint,
+                             "checkpoint blob ends inside tensor"),
+    "checkpoint_missing_tensor": ("--checkpoint", _checkpoint_missing_tensor,
+                                  "checkpoint manifest lacks 'enc.emb'"),
+    "schema_missing_key": ("--schema", _schema_missing_key, "missing key 'team_marker'"),
+    "schema_is_directory": ("--schema", _schema_is_directory, "Is a directory"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(INPUT_FAULTS))
+def test_malformed_input_file_is_data_error(tmp_path, trained_dir, capsys, fault):
+    arg, breaker, message = INPUT_FAULTS[fault]
+    data = trained_dir / "data"
+    inputs = {"--checkpoint": trained_dir / "model.ckpt",
+              "--schema": data / "schema.json", "--corpus": data / "test.jsonl"}
+    bad = tmp_path / inputs[arg].name
+    breaker(inputs[arg], bad)
+    inputs[arg] = bad
+    out = tmp_path / "gen.jsonl"
+    rc = main(["generate", "--out", str(out)]
+              + [str(s) for pair in inputs.items() for s in pair])
+    assert rc == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(bad) in err and message in err
+    assert not out.exists()
+
+
 def test_train_with_empty_valid_file_is_data_error(tmp_path, workdir, capsys):
     empty = tmp_path / "valid.jsonl"
     empty.write_text("")
@@ -205,6 +283,17 @@ def test_evaluate_empty_files_is_data_error(tmp_path, workdir, capsys):
                "--schema", str(workdir / "data" / "schema.json")])
     assert rc == cli.EXIT_DATA
     assert str(gold) in capsys.readouterr().err
+
+
+def test_evaluate_generation_row_without_plan_indices_is_data_error(tmp_path, workdir,
+                                                                     capsys):
+    data = workdir / "data"
+    gen = tmp_path / "gen.jsonl"
+    gen.write_text(json.dumps({"summary": "The Reds won .", "terminated": True}) + "\n")
+    rc = main(["evaluate", "--generated", str(gen), "--gold", str(data / "test.jsonl"),
+               "--schema", str(data / "schema.json")])
+    assert rc == cli.EXIT_DATA
+    assert f"{gen}: line 1: missing key 'plan_indices'" in capsys.readouterr().err
 
 
 def test_profiles_fix_documented_defaults():

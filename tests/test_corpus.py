@@ -190,6 +190,13 @@ def test_pool_pair_is_visiting_then_home_like_published_example():
     assert "V(B.Keller) V(Royals) V(Orioles)" in labels
 
 
+def test_pool_rejects_record_type_outside_schema():
+    table = _toy_table(2, 2, 1)
+    table.records.append(Record("Team0", "BOGUS", "1", SIDE_VISITING))
+    with pytest.raises(DataError, match=r"\(Team0, BOGUS\): type not in schema 'toy-v1'"):
+        build_plan_pool(synth.TOY_SCHEMA, table)
+
+
 def test_pool_determinism():
     t1, t2 = _toy_table(), _toy_table()
     p1 = build_plan_pool(synth.TOY_SCHEMA, t1)

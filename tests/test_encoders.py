@@ -9,6 +9,10 @@ from plangen import autodiff as ad
 from plangen.corpus import DataError
 from plangen.encoders import (
     EncoderParams,
+    LSTMParams,
+    PoolEncoding,
+    SequenceBatch,
+    _attn_pool,
     encode_paragraphs,
     encode_plan,
     encode_pool,
@@ -145,3 +149,79 @@ def test_gradients_reach_embeddings_of_every_input_token(enc):
     for tok in tokens:
         assert np.any(emb_grad[tok] != 0)
     assert np.all(emb_grad[20] == 0)  # token not in input
+
+
+def _masked_bilstm_reference(fw: LSTMParams, bw: LSTMParams, x: ad.Tensor,
+                             batch: SequenceBatch) -> ad.Tensor:
+    """The earlier BiLSTM, kept as the reference: over an input of shape
+    (B, L, E), every padded step keeps the previous state in both directions."""
+    b, length = batch.ids.shape
+    hid = fw.hidden
+    masks = [(ad.const(batch.mask[:, i:i + 1]), ad.const(1.0 - batch.mask[:, i:i + 1]))
+             for i in range(length)]
+    steps = [ad.reshape(ad.narrow(x, 1, i, 1), (b, fw.wx.shape[0])) for i in range(length)]
+
+    def run(p: LSTMParams, order):
+        h = ad.zeros((b, hid))
+        c = ad.zeros((b, hid))
+        states = {}
+        for i in order:
+            m, m_inv = masks[i]
+            h2, c2 = lstm_cell(p, steps[i], h, c)
+            h = ad.add(ad.mul(h2, m), ad.mul(h, m_inv))
+            c = ad.add(ad.mul(c2, m), ad.mul(c, m_inv))
+            states[i] = h
+        return [states[i] for i in range(length)]
+
+    fw_states = run(fw, range(length))
+    bw_states = run(bw, range(length - 1, -1, -1))
+    fw_stack = ad.concat([ad.reshape(s, (b, 1, hid)) for s in fw_states], axis=1)
+    bw_stack = ad.concat([ad.reshape(s, (b, 1, hid)) for s in bw_states], axis=1)
+    return ad.concat([fw_stack, bw_stack], axis=2)
+
+
+def _encode_pool_reference(enc: EncoderParams, seqs: list[list[int]]) -> PoolEncoding:
+    batch = SequenceBatch.from_sequences(seqs)
+    b, length = batch.ids.shape
+    x = ad.reshape(ad.take_rows(enc.emb, batch.ids.reshape(-1)), (b, length, enc.embed_dim))
+    states = _masked_bilstm_reference(enc.plan_fw, enc.plan_bw, x, batch)
+    pooled, weights = _attn_pool(states, batch, enc.q_plan, enc.attn_plan_w)
+    return PoolEncoding(pooled=pooled, token_states=states, lengths=batch.lengths,
+                        attn_weights=weights)
+
+
+def test_padded_batch_bitwise_matches_masked_reference():
+    # the unmasked forward direction and the zeroed backward state must read
+    # exactly what the blend-masked BiLSTM gave, gradients included
+    enc3 = EncoderParams.create(np.random.default_rng(4), vocab_size=20, hidden=5,
+                                embed_dim=6)
+    seqs = [[5, 6, 7, 8, 9, 10], [3, 1], [2, 2, 2]]
+    mix_rng = np.random.default_rng(9)
+    pooled_mix = ad.const(mix_rng.uniform(-1, 1, (3, 10)))
+    row_mix = [ad.const(mix_rng.uniform(-1, 1, (len(s), 10))) for s in seqs]
+    named = enc3.named()
+
+    def run(encode):
+        with ad.graph_scope() as g:
+            for t in named.values():
+                t.zero_grad()
+            pe = encode(enc3, seqs)
+            rows = [pe.plan_token_states(j) for j in range(len(seqs))]
+            loss = ad.sum_(ad.tanh(ad.mul(pe.pooled, pooled_mix)))
+            for row, mix in zip(rows, row_mix):
+                loss = ad.add(loss, ad.sum_(ad.tanh(ad.mul(row, mix))))
+            ad.backward(loss, g)
+        return (pe.pooled.data, [r.data for r in rows],
+                {k: t.grad_matrix().copy() for k, t in named.items()})
+
+    pooled, rows, grads = run(encode_pool)
+    ref_pooled, ref_rows, ref_grads = run(_encode_pool_reference)
+    assert np.array_equal(pooled, ref_pooled)
+    for row, ref in zip(rows, ref_rows):
+        assert np.array_equal(row, ref)
+    for k in ("enc.emb", "enc.q_plan", "enc.attn_plan_w", "enc.plan_fw.wx",
+              "enc.plan_fw.wh", "enc.plan_fw.b", "enc.plan_bw.wx", "enc.plan_bw.wh",
+              "enc.plan_bw.b"):
+        assert np.any(grads[k] != 0), k
+    for k in named:
+        assert np.array_equal(grads[k], ref_grads[k]), k
