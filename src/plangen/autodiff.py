@@ -94,21 +94,34 @@ class Tensor:
         else:
             self._grad += g
 
+    def _accumulate_at(self, idx, g: np.ndarray) -> None:
+        """Add ``g`` into ``grad[idx]``; ``idx`` names each entry at most once."""
+        if self._grad is None:
+            self._grad = np.zeros_like(self.data)
+        self._grad[idx] += g
+
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
 class OpRecord:
-    """One node of the computation graph (append order = topological order)."""
+    """One node of the computation graph (append order = topological order).
 
-    __slots__ = ("kind", "input_ids", "output_id", "out", "backward_fn")
+    A node has one output, or two (``out2``, as for :func:`lstm_cell`);
+    ``backward_fn`` gets the first output's gradient, which is None when
+    only the second one has a gradient.
+    """
+
+    __slots__ = ("kind", "input_ids", "output_id", "out", "out2", "backward_fn")
 
     def __init__(self, kind: str, inputs: Sequence[Tensor], out: Tensor,
-                 backward_fn: Callable[[np.ndarray], None]):
+                 backward_fn: Callable[[np.ndarray | None], None],
+                 out2: Tensor | None = None):
         self.kind = kind
         self.input_ids = tuple([t.node_id for t in inputs])
         self.output_id = out.node_id
         self.out = out
+        self.out2 = out2
         self.backward_fn = backward_fn
 
 
@@ -122,6 +135,8 @@ class Graph:
         """Clear gradients of every tensor recorded on this graph."""
         for rec in self.nodes:
             rec.out.zero_grad()
+            if rec.out2 is not None:
+                rec.out2.zero_grad()
 
 
 _active_graph = Graph()
@@ -404,9 +419,7 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
 
     def bw(g):
         if a.requires_grad:
-            full = np.zeros_like(a.data)
-            full[idx] = g
-            a._accumulate(full)
+            a._accumulate_at(idx, g)
 
     return _make("narrow", (a,), data, bw)
 
@@ -435,11 +448,63 @@ def gather_last(a: Tensor, indices) -> Tensor:
 
     def bw(g):
         if a.requires_grad:
-            full = np.zeros_like(a.data)
-            np.add.at(full, (rows, idx), g[:, 0])
-            a._accumulate(full)
+            a._accumulate_at((rows, idx), g[:, 0])
 
     return _make("gather_last", (a,), data, bw)
+
+
+def lstm_cell(x: Tensor, h: Tensor, c: Tensor, wx: Tensor, wh: Tensor,
+              b: Tensor) -> tuple[Tensor, Tensor]:
+    """One LSTM step as one tape node with two outputs, (h', c').
+
+    Gates are (x @ wx + h @ wh) + b in the order (input, forget, cell,
+    output), with one sigmoid over the whole gate row.  Forward and
+    backward use the numpy expressions, in the order, that the same step
+    composed of matmul/add/sigmoid/narrow/tanh/mul ops would, so the two
+    agree bitwise; the inputs' gradients accumulate as c, b, (h, wh),
+    (x, wx).
+    """
+    hid = wh.shape[0]
+    if (x.data.ndim != 2 or x.shape[1] != wx.shape[0] or h.shape[1] != hid
+            or c.shape[1] != hid or wx.shape[1] != 4 * hid or wh.shape[1] != 4 * hid):
+        raise ShapeError(f"lstm_cell: x {x.shape}, h {h.shape}, c {c.shape} do not fit "
+                         f"wx {wx.shape}, wh {wh.shape}")
+    gates = (x.data @ wx.data + h.data @ wh.data) + b.data
+    e = np.exp(-np.abs(gates))
+    sig = np.where(gates >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    i, f, o = sig[:, :hid], sig[:, hid:2 * hid], sig[:, 3 * hid:]
+    g = np.tanh(gates[:, 2 * hid:3 * hid])
+    c2 = f * c.data + i * g
+    tc = np.tanh(c2)
+    inputs = (x, h, c, wx, wh, b)
+    track = _grad_enabled and any([t.requires_grad for t in inputs])
+    h_out = Tensor(o * tc, requires_grad=track)
+    c_out = Tensor(c2, requires_grad=track)
+    if not track:
+        return h_out, c_out
+
+    def bw(dh):
+        dc2 = c_out._grad
+        dgates = np.zeros_like(gates)
+        if dh is not None:
+            term = (dh * o) * (1.0 - tc * tc)
+            dc2 = term if dc2 is None else dc2 + term
+            dgates[:, 3 * hid:] = (dh * tc) * o * (1.0 - o)
+        if c.requires_grad:
+            c._accumulate(_unbroadcast(dc2 * f, c.shape))
+        dgates[:, :hid] = (dc2 * g) * i * (1.0 - i)
+        dgates[:, hid:2 * hid] = (dc2 * c.data) * f * (1.0 - f)
+        dgates[:, 2 * hid:3 * hid] = (dc2 * i) * (1.0 - g * g)
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(dgates, b.shape))
+        for inp, w in ((h, wh), (x, wx)):
+            if inp.requires_grad:
+                inp._accumulate(_unbroadcast(dgates @ w.data.swapaxes(-1, -2), inp.shape))
+            if w.requires_grad:
+                w._accumulate(_unbroadcast(inp.data.swapaxes(-1, -2) @ dgates, w.shape))
+
+    _active_graph.nodes.append(OpRecord("lstm_cell", inputs, h_out, bw, out2=c_out))
+    return h_out, c_out
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +574,7 @@ def backward(root: Tensor, graph: Graph | None = None) -> None:
     g = graph if graph is not None else _active_graph
     root._accumulate(np.ones_like(root.data))
     for rec in reversed(g.nodes):
-        if rec.out._grad is None:
+        if rec.out._grad is None and (rec.out2 is None or rec.out2._grad is None):
             continue
         rec.backward_fn(rec.out._grad)
 

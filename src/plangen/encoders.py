@@ -49,16 +49,7 @@ class LSTMParams:
 
 def lstm_cell(p: LSTMParams, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
     """One step for a (batch, input_dim) input; returns (h', c')."""
-    gates = ad.add(ad.add(ad.matmul(x, p.wx), ad.matmul(h, p.wh)), p.b)
-    hid = p.hidden
-    sig = ad.sigmoid(gates)  # one op for the three sigmoid gates
-    i = ad.narrow(sig, -1, 0, hid)
-    f = ad.narrow(sig, -1, hid, hid)
-    g = ad.tanh(ad.narrow(gates, -1, 2 * hid, hid))
-    o = ad.narrow(sig, -1, 3 * hid, hid)
-    c2 = ad.add(ad.mul(f, c), ad.mul(i, g))
-    h2 = ad.mul(o, ad.tanh(c2))
-    return h2, c2
+    return ad.lstm_cell(x, h, c, p.wx, p.wh, p.b)
 
 
 @dataclass

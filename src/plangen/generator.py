@@ -7,6 +7,10 @@ so every step sees it), and mixes a vocabulary softmax with a copy
 distribution gated by sigmoid(copy(s_i)).  Copy mass lands only on
 vocabulary ids of the plan's real tokens; the pseudo-token's attention
 weight is excluded and the remainder renormalized.
+
+Everything after LSTM_gen is row-wise, so :func:`output_distribution`
+scores many decoder states at once: the teacher-forced states of a whole
+paragraph in training, and every live hypothesis of a beam-search step.
 """
 
 from __future__ import annotations
@@ -57,10 +61,11 @@ class DecoderParams:
 
 @dataclass
 class DecoderState:
-    """Recurrent state plus the fixed per-paragraph attention inputs."""
+    """Recurrent state (one row per decoded sequence) plus the fixed
+    per-paragraph attention inputs."""
 
-    h: Tensor
-    c: Tensor
+    h: Tensor              # (rows, 2H)
+    c: Tensor              # (rows, 2H)
     attn_states: Tensor    # (plan_len + 1, 2H), row 0 is the bin pseudo-token
     attn_keys: Tensor      # transposed attn_states, cached
     copy_matrix: Tensor    # (plan_len, vocab) one-hot scatter, constant
@@ -94,14 +99,16 @@ def init_decoder(dec: DecoderParams, r_z: Tensor, bin_id: int, h_y_prev: Tensor,
     )
 
 
-def decode_step(dec: DecoderParams, enc: EncoderParams, prev_token: int,
-                state: DecoderState, h_y_prev: Tensor) -> tuple[Tensor, DecoderState]:
-    """One teacher-forced or free-running step; returns (next-token
-    distribution over the vocabulary, advanced state)."""
-    prev_emb = ad.take_rows(enc.emb, [prev_token])
-    x = ad.concat([prev_emb, h_y_prev], axis=1)
-    h, c = lstm_cell(dec.lstm_gen, x, state.h, state.c)
+def decoder_inputs(enc: EncoderParams, prev_tokens: list[int], h_y_prev: Tensor) -> Tensor:
+    """LSTM_gen inputs [emb(prev), h_y_prev], one row per previous token."""
+    n = len(prev_tokens)
+    context = h_y_prev if n == 1 else ad.take_rows(h_y_prev, [0] * n)
+    return ad.concat([ad.take_rows(enc.emb, prev_tokens), context], axis=1)
 
+
+def output_distribution(dec: DecoderParams, h: Tensor, state: DecoderState) -> Tensor:
+    """Next-token distributions over the vocabulary for the R decoder
+    states in the rows of ``h`` (R, 2H), all under ``state``'s plan."""
     scores = ad.matmul(ad.matmul(h, dec.attn_w), state.attn_keys)
     weights = ad.softmax(scores, axis=-1)
     context = ad.matmul(weights, state.attn_states)
@@ -115,8 +122,17 @@ def decode_step(dec: DecoderParams, enc: EncoderParams, prev_token: int,
     copy_probs = ad.matmul(ad.div(token_w, token_sum), state.copy_matrix)
 
     keep = ad.sub(ad.const([[1.0]]), gate)
-    probs = ad.add(ad.mul(gen_probs, keep), ad.mul(copy_probs, gate))
-    return probs, replace(state, h=h, c=c)
+    return ad.add(ad.mul(gen_probs, keep), ad.mul(copy_probs, gate))
+
+
+def decode_step(dec: DecoderParams, enc: EncoderParams, prev_tokens: int | list[int],
+                state: DecoderState, h_y_prev: Tensor) -> tuple[Tensor, DecoderState]:
+    """One teacher-forced or free-running step for one token, or for a list
+    of tokens with one per row of ``state``; returns the next-token
+    distributions (one row per token) and the advanced state."""
+    rows = [prev_tokens] if isinstance(prev_tokens, (int, np.integer)) else prev_tokens
+    h, c = lstm_cell(dec.lstm_gen, decoder_inputs(enc, rows, h_y_prev), state.h, state.c)
+    return output_distribution(dec, h, state), replace(state, h=h, c=c)
 
 
 @dataclass
@@ -125,7 +141,7 @@ class BeamHypothesis:
 
     tokens: tuple[int, ...]
     log_prob: float
-    state: DecoderState
+    row: int               # its state's row in the step's batched decoder state
     finished: bool = False
 
     def score(self) -> float:
@@ -165,29 +181,34 @@ def generate_paragraph(dec: DecoderParams, enc: EncoderParams, r_z: Tensor,
     if beam_size < 1:
         raise ParameterError(f"beam size must be >= 1, got {beam_size}")
     with ad.no_grad():
-        init = init_decoder(dec, r_z, bin_id, h_y_prev, plan_token_states,
-                            plan_token_ids, len(vocab))
-        live = [BeamHypothesis(tokens=(), log_prob=0.0, state=init)]
+        state = init_decoder(dec, r_z, bin_id, h_y_prev, plan_token_states,
+                             plan_token_ids, len(vocab))
+        live = [BeamHypothesis(tokens=(), log_prob=0.0, row=0)]
         finished: list[BeamHypothesis] = []
         for step in range(max_len):
+            rows = [hyp.row for hyp in live]
+            if rows != list(range(state.h.shape[0])):
+                state = replace(state, h=ad.take_rows(state.h, rows),
+                                c=ad.take_rows(state.c, rows))
+            prev = [hyp.tokens[-1] if hyp.tokens else vocab.bos_id for hyp in live]
+            probs, state = decode_step(dec, enc, prev, state, h_y_prev)
+            log_probs = np.log(np.maximum(probs.data, 1e-300))
+            orders = np.argsort(-log_probs, axis=1, kind="stable")[:, : beam_size + 1]
             candidates: list[BeamHypothesis] = []
-            for hyp in live:
-                prev = hyp.tokens[-1] if hyp.tokens else vocab.bos_id
-                probs, new_state = decode_step(dec, enc, prev, hyp.state, h_y_prev)
-                row = np.log(np.maximum(probs.data[0], 1e-300))
-                order = np.argsort(-row, kind="stable")[: beam_size + 1]
-                for tok in order:
+            for r, hyp in enumerate(live):
+                row = log_probs[r]
+                for tok in orders[r]:
                     tok = int(tok)
                     if tok == vocab.eos_id:
                         if step == 0:
                             continue
                         candidates.append(BeamHypothesis(
                             tokens=hyp.tokens, log_prob=hyp.log_prob + row[tok],
-                            state=new_state, finished=True))
+                            row=r, finished=True))
                     else:
                         candidates.append(BeamHypothesis(
                             tokens=hyp.tokens + (tok,), log_prob=hyp.log_prob + row[tok],
-                            state=new_state))
+                            row=r))
             candidates.sort(key=lambda h: (-h.log_prob, h.tokens))
             live = []
             for cand in candidates:

@@ -152,4 +152,15 @@ def primitive_grad_checks(seed: int = 3) -> dict[str, float]:
     results["gumbel_softmax"] = ad.grad_check(
         lambda: ad.sum_(ad.mul(ad.gumbel_softmax_sample(ad.log_softmax(g), 0.7, noise),
                                g_mix)), [g])
+
+    # batch 3 against a (1, 4H) bias row; both outputs feed the loss
+    shapes = ((3, 3), (3, 2), (3, 2), (3, 8), (2, 8), (1, 8))  # x, h, c, wx, wh, b
+    cell = [ad.param(rand(shape)) for shape in shapes]
+    h_mix, c_mix = ad.const(rand((3, 2))), ad.const(rand((3, 2)))
+
+    def lstm_loss():
+        h2, c2 = ad.lstm_cell(*cell)
+        return ad.add(ad.sum_(ad.mul(h2, h_mix)), ad.sum_(ad.mul(c2, c_mix)))
+
+    results["lstm_cell"] = ad.grad_check(lstm_loss, cell)
     return results

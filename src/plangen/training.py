@@ -46,10 +46,11 @@ from .encoders import (
     encode_paragraphs,
     encode_pool,
     initial_state,
+    lstm_cell,
     step_plan_state,
     step_text_state,
 )
-from .generator import DecoderParams, decode_step, init_decoder
+from .generator import DecoderParams, decoder_inputs, init_decoder, output_distribution
 from .planner import (
     PlannerParams,
     kl_divergence,
@@ -137,12 +138,14 @@ class TrainConfig:
             "bins": self.bins, "clip_norm": self.clip_norm,
             "hidden": self.hidden, "embed": self.embed,
         }
+        # written as `not value > 0` so that NaN fails the check as well
         for name, value in positives.items():
-            if value <= 0:
+            if not value > 0:
                 raise ad.ParameterError(f"{name} must be positive, got {value}")
         # lr = 0 is legal (null optimizer); negative rates are not
-        if self.learning_rate < 0 or self.lam < 0:
-            raise ad.ParameterError("learning rate and lambda must be non-negative")
+        for name, value in {"learning_rate": self.learning_rate, "lam": self.lam}.items():
+            if not value >= 0:
+                raise ad.ParameterError(f"{name} must be non-negative, got {value}")
 
 
 @dataclass
@@ -278,19 +281,25 @@ def plan_walk(model: ModelParams, pg: PreparedGame, eps: float, temperature: flo
 
 def _paragraph_log_prob(model: ModelParams, pg: PreparedGame, walk: PlanWalk, t: int,
                         vocab: Vocab) -> Tensor:
-    """Teacher-forced log-probability of paragraph t under its chosen plan."""
+    """Teacher-forced log-probability of paragraph t under its chosen plan:
+    the LSTM_gen recurrence over the gold prefix, then every next-token
+    distribution of the paragraph in one batch of rows."""
     plan_idx, h_y_prev, pool_enc = walk.chosen[t], walk.h_y_prev[t], walk.pool_enc
+    dec = model.decoder
     state = init_decoder(
-        model.decoder, pool_enc.plan_vector(plan_idx), pg.bin_ids[t], h_y_prev,
+        dec, pool_enc.plan_vector(plan_idx), pg.bin_ids[t], h_y_prev,
         pool_enc.plan_token_states(plan_idx), pg.ext_plan_tokens[plan_idx],
         model.config.vocab_size)
-    total = _scalar(0.0)
-    prev = vocab.bos_id
-    for target in pg.paragraph_ids[t] + [vocab.eos_id]:
-        probs, state = decode_step(model.decoder, model.encoder, prev, state, h_y_prev)
-        total = ad.add(total, ad.log(ad.gather_last(probs, [target])))
-        prev = target
-    return total
+    prev = [vocab.bos_id] + pg.paragraph_ids[t]
+    x = decoder_inputs(model.encoder, prev, h_y_prev)
+    h, c = state.h, state.c
+    states = []
+    for i in range(len(prev)):
+        h, c = lstm_cell(dec.lstm_gen, ad.narrow(x, 0, i, 1), h, c)
+        states.append(h)
+    probs = output_distribution(dec, ad.concat(states, axis=0), state)
+    picked = ad.gather_last(probs, pg.paragraph_ids[t] + [vocab.eos_id])
+    return ad.sum_(ad.log(picked), axis=0, keepdims=True)
 
 
 def compute_loss(model: ModelParams, pg: PreparedGame, cfg: TrainConfig,

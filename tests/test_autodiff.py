@@ -233,6 +233,42 @@ def test_graph_topological_order_invariant():
 
 
 # ---------------------------------------------------------------------------
+# fused lstm cell (one node, two outputs)
+
+
+def _lstm_inputs(seed):
+    rng = np.random.default_rng(seed)
+    shapes = ((3, 3), (3, 2), (3, 2), (3, 8), (2, 8), (1, 8))
+    return [ad.param(rng.uniform(-2.0, 2.0, size=s)) for s in shapes]
+
+
+@pytest.mark.parametrize("output", [0, 1], ids=["only_h", "only_c"])
+def test_lstm_cell_grad_check_with_one_output_consumed(output):
+    # only c' consumed: backward must still run a node whose h' has no gradient
+    cell = _lstm_inputs(5)
+    mix = ad.const(np.random.default_rng(6).uniform(-1.0, 1.0, (3, 2)))
+    err = ad.grad_check(lambda: ad.sum_(ad.mul(ad.lstm_cell(*cell)[output], mix)), cell)
+    assert err < 1e-6
+
+
+def test_lstm_cell_is_one_node_and_zero_grads_clears_both_outputs():
+    cell = _lstm_inputs(7)
+    with ad.graph_scope() as g:
+        h2, c2 = ad.lstm_cell(*cell)
+        assert [rec.kind for rec in g.nodes] == ["lstm_cell"]
+        ad.backward(ad.sum_(ad.mul(h2, c2)), g)
+        assert h2._grad is not None and c2._grad is not None
+        g.zero_grads()
+    assert h2._grad is None and c2._grad is None
+
+
+def test_lstm_cell_shape_error_names_shapes():
+    x, h, c, wx, wh, b = _lstm_inputs(8)
+    with pytest.raises(ad.ShapeError, match=r"\(3, 3\)"):
+        ad.lstm_cell(x, h, c, wh, wh, b)
+
+
+# ---------------------------------------------------------------------------
 # grad_check harness
 
 

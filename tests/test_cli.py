@@ -207,6 +207,26 @@ def test_config_file_value_of_wrong_type_is_data_error(tmp_path, workdir, capsys
     assert not (tmp_path / "m.ckpt").exists()
 
 
+@pytest.mark.parametrize("line, message", [
+    ("clip_norm = -1", "clip_norm must be positive, got -1.0"),
+    ("clip_norm = nan", "clip_norm must be positive, got nan"),
+    ("learning_rate = nan", "learning_rate must be non-negative, got nan"),
+], ids=["clip_norm_negative", "clip_norm_nan", "learning_rate_nan"])
+def test_config_file_value_out_of_range_is_numeric_error(tmp_path, workdir, capsys,
+                                                         line, message):
+    cfg_file = tmp_path / "range.cfg"
+    cfg_file.write_text(f"seed = 1\n{line}\n")
+    data = workdir / "data"
+    rc = main(["train", "--config", str(cfg_file),
+               "--schema", str(data / "schema.json"),
+               "--train", str(data / "train.jsonl"),
+               "--valid", str(data / "valid.jsonl"),
+               "--checkpoint", str(tmp_path / "m.ckpt")])
+    assert rc == cli.EXIT_NUMERIC
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
 def _corpus_without_table(src: Path, dst: Path) -> None:
     first = src.read_text().splitlines()[0]
     dst.write_text(first + "\n" + json.dumps({"summary": "a b ."}) + "\n")

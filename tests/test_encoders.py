@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from plangen import autodiff as ad
+from plangen import encoders
 from plangen.corpus import DataError
 from plangen.encoders import (
     EncoderParams,
@@ -225,3 +226,67 @@ def test_padded_batch_bitwise_matches_masked_reference():
         assert np.any(grads[k] != 0), k
     for k in named:
         assert np.array_equal(grads[k], ref_grads[k]), k
+
+
+def _lstm_cell_reference(p: LSTMParams, x: ad.Tensor, h: ad.Tensor,
+                         c: ad.Tensor) -> tuple[ad.Tensor, ad.Tensor]:
+    """The earlier 15-op cell, kept as the reference for the fused primitive."""
+    gates = ad.add(ad.add(ad.matmul(x, p.wx), ad.matmul(h, p.wh)), p.b)
+    hid = p.hidden
+    sig = ad.sigmoid(gates)
+    i = ad.narrow(sig, -1, 0, hid)
+    f = ad.narrow(sig, -1, hid, hid)
+    g = ad.tanh(ad.narrow(gates, -1, 2 * hid, hid))
+    o = ad.narrow(sig, -1, 3 * hid, hid)
+    c2 = ad.add(ad.mul(f, c), ad.mul(i, g))
+    return ad.mul(o, ad.tanh(c2)), c2
+
+
+@pytest.mark.parametrize("consume", ["h", "c", "both"])
+def test_fused_cell_bitwise_matches_composition(consume):
+    rng = np.random.default_rng(21)
+    p = LSTMParams.create(rng, input_dim=5, hidden=3)
+    x, h, c = (ad.param(rng.uniform(-1.5, 1.5, (4, n))) for n in (5, 3, 3))
+    h_mix, c_mix = (ad.const(rng.uniform(-1, 1, (4, 3))) for _ in range(2))
+    inputs = [x, h, c, p.wx, p.wh, p.b]
+
+    def run(cell):
+        with ad.graph_scope() as g:
+            for t in inputs:
+                t.zero_grad()
+            h2, c2 = cell(p, x, h, c)
+            h_loss, c_loss = ad.sum_(ad.mul(h2, h_mix)), ad.sum_(ad.mul(c2, c_mix))
+            loss = {"h": h_loss, "c": c_loss, "both": ad.add(h_loss, c_loss)}[consume]
+            ad.backward(loss, g)
+        return [h2.data, c2.data] + [t.grad_matrix().copy() for t in inputs]
+
+    for got, want in zip(run(lstm_cell), run(_lstm_cell_reference)):
+        assert np.array_equal(got, want)
+
+
+def test_masked_batch_bitwise_matches_composed_cell(monkeypatch):
+    # the BiLSTM over a padded batch, with its masked backward direction,
+    # gives the same states and gradients with the fused or the composed cell
+    enc3 = EncoderParams.create(np.random.default_rng(4), vocab_size=20, hidden=5,
+                                embed_dim=6)
+    seqs = [[5, 6, 7, 8, 9, 10], [3, 1], [2, 2, 2]]
+    mix = ad.const(np.random.default_rng(9).uniform(-1, 1, (3, 6, 10)))
+    named = enc3.named()
+
+    def run():
+        with ad.graph_scope() as g:
+            for t in named.values():
+                t.zero_grad()
+            pe = encode_paragraphs(enc3, seqs)
+            state = step_text_state(enc3, ad.narrow(pe.pooled, 0, 1, 1), initial_state(enc3))
+            loss = ad.add(ad.sum_(ad.tanh(ad.mul(pe.token_states, mix))),
+                          ad.sum_(ad.mul(state.h_y, state.c_y)))
+            ad.backward(loss, g)
+        return [pe.token_states.data, pe.pooled.data, state.h_y.data] + [
+            t.grad_matrix().copy() for t in named.values()]
+
+    fused = run()
+    monkeypatch.setattr(encoders, "lstm_cell", _lstm_cell_reference)
+    composed = run()
+    for got, want in zip(fused, composed):
+        assert np.array_equal(got, want)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -282,3 +284,73 @@ def test_early_stop_leaves_search_result_unchanged(model, vocab, monkeypatch):
                 full = generate_paragraph(*args)
             assert early == full
     assert steps["early"] < steps["full"]
+
+
+def _per_hypothesis_beam(dec, enc, r_z, states, ids, bin_id, h_y, vocab, beam_size,
+                         max_len):
+    """The earlier beam search, kept as the reference: one decode_step per
+    live hypothesis, each holding its own state, and no early stop."""
+    with ad.no_grad():
+        live = [((), 0.0, init_decoder(dec, r_z, bin_id, h_y, states, ids, len(vocab)))]
+        finished = []
+        for step in range(max_len):
+            candidates = []
+            for tokens, log_prob, state in live:
+                prev = tokens[-1] if tokens else vocab.bos_id
+                probs, new_state = decode_step(dec, enc, prev, state, h_y)
+                row = np.log(np.maximum(probs.data[0], 1e-300))
+                for tok in np.argsort(-row, kind="stable")[: beam_size + 1]:
+                    tok = int(tok)
+                    if tok != vocab.eos_id:
+                        candidates.append((tokens + (tok,), log_prob + row[tok], new_state))
+                    elif step > 0:
+                        candidates.append((tokens, log_prob + row[tok], None))
+            candidates.sort(key=lambda cand: (-cand[1], cand[0]))
+            live = []
+            for cand in candidates:
+                if cand[2] is None:
+                    finished.append(cand)
+                elif len(live) < beam_size:
+                    live.append(cand)
+            if not live:
+                break
+    done = 1 if finished else 0
+    best = max(finished or live,
+               key=lambda cand: (cand[1] / max(len(cand[0]) + done, 1), cand[0]))
+    return list(best[0]), not finished
+
+
+def test_batched_beam_matches_per_hypothesis_search(model, vocab):
+    enc, _ = model
+    dec = DecoderParams.create(np.random.default_rng(55), len(vocab), HID, HID, bins=3)
+    dec.ff_b.data[0, vocab.eos_id] += 3.0  # a mix of finished and truncated searches
+    rng = np.random.default_rng(2468)
+    outcomes = set()
+    for trial in range(20):
+        ids = [int(i) for i in rng.integers(6, len(vocab), size=1 + trial % 4)]
+        r_z, states = _plan(enc, ids)
+        h_y = ad.const(rng.uniform(-1, 1, (1, TWO_H)))
+        for beam in (1, 3, 5):
+            args = (dec, enc, r_z, states, ids, trial % 3, h_y, vocab, beam, 10)
+            got = generate_paragraph(*args)
+            assert got == _per_hypothesis_beam(*args)
+            outcomes.add(got[1])
+    assert outcomes == {True, False}
+
+
+def test_decode_step_rows_match_single_token_steps(model, vocab):
+    enc, dec = model
+    r_z, states = _plan(enc, [7, 8, 9])
+    h_y = ad.const(np.random.default_rng(8).uniform(-1, 1, (1, TWO_H)))
+    state = init_decoder(dec, r_z, 0, h_y, states, [7, 8, 9], len(vocab))
+    prev = [vocab.bos_id, 7, 11]
+    rng = np.random.default_rng(9)
+    rows = replace(state, h=ad.const(rng.uniform(-1, 1, (3, TWO_H))),
+                   c=ad.const(rng.uniform(-1, 1, (3, TWO_H))))
+    probs, advanced = decode_step(dec, enc, prev, rows, h_y)
+    assert probs.shape == (3, len(vocab))
+    for r, tok in enumerate(prev):
+        one = replace(state, h=ad.narrow(rows.h, 0, r, 1), c=ad.narrow(rows.c, 0, r, 1))
+        p1, s1 = decode_step(dec, enc, tok, one, h_y)
+        assert np.allclose(probs.data[r], p1.data[0], rtol=1e-12, atol=1e-15)
+        assert np.allclose(advanced.h.data[r], s1.h.data[0], rtol=1e-12, atol=1e-15)

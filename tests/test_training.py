@@ -8,8 +8,10 @@ import pytest
 
 from plangen import autodiff as ad
 from plangen import synth
-from plangen.corpus import DataError, Document, MacroPlan
+from plangen.corpus import DataError, Document, MacroPlan, assign_length_bins, build_vocab
+from plangen.generator import decode_step, init_decoder
 from plangen.harness import TINY_SCHEMA, build_loss_fixture, tiny_game
+from plangen.planner import scheduled_sampling_rate
 from plangen.training import (
     ModelConfig,
     ModelParams,
@@ -18,6 +20,7 @@ from plangen.training import (
     compute_loss,
     load_checkpoint,
     plan_selection_accuracy,
+    plan_walk,
     prepare_game,
     save_checkpoint,
     train,
@@ -238,6 +241,72 @@ def test_plan_selection_accuracy_matches_straight_line_hits(seed):
                                   np.random.default_rng(0), fx.vocab)
     steps = len(fx.prepared.paragraph_ids) + 1
     assert plan_selection_accuracy(fx.model, [fx.prepared]) == hits / steps
+
+
+def per_token_loss(model, pg, cfg, k, rng, vocab):
+    """The earlier reconstruction, kept as the reference: one decode_step
+    per gold token, summed in token order; returns (parts, total tensor)."""
+    walk = plan_walk(model, pg, scheduled_sampling_rate(k, cfg.decay_slope),
+                     cfg.temperature, rng)
+    recon = ad.const([[0.0]])
+    for t, tokens in enumerate(pg.paragraph_ids):
+        plan, h_y_prev = walk.chosen[t], walk.h_y_prev[t]
+        state = init_decoder(model.decoder, walk.pool_enc.plan_vector(plan), pg.bin_ids[t],
+                             h_y_prev, walk.pool_enc.plan_token_states(plan),
+                             pg.ext_plan_tokens[plan], model.config.vocab_size)
+        prev = vocab.bos_id
+        for target in tokens + [vocab.eos_id]:
+            probs, state = decode_step(model.decoder, model.encoder, prev, state, h_y_prev)
+            recon = ad.add(recon, ad.log(ad.gather_last(probs, [target])))
+            prev = target
+    total = ad.neg(ad.add(ad.sub(recon, walk.kl),
+                          ad.mul(ad.const([[cfg.lam]]), walk.supervision)))
+    return [recon.item(), walk.kl.item(), walk.supervision.item(), total.item()], total
+
+
+def _loss_and_grads(model, loss_fn):
+    named = model.named()
+    with ad.graph_scope() as g:
+        model.zero_grad()
+        parts, total = loss_fn()
+        ad.backward(total, g)
+    return parts, {k: t.grad_matrix().copy() for k, t in named.items()}
+
+
+@pytest.mark.parametrize("hidden", [4, 8])
+@pytest.mark.parametrize("k", [0, 250, 10**9])
+def test_batched_reconstruction_matches_per_token_decoding(hidden, k):
+    fx = build_loss_fixture(hidden=hidden)
+
+    def batched():
+        lb = compute_loss(fx.model, fx.prepared, fx.cfg, k, np.random.default_rng(42),
+                          fx.vocab)
+        return [lb.reconstruction, lb.kl, lb.supervision, lb.total], lb.total_tensor
+
+    parts, grads = _loss_and_grads(fx.model, batched)
+    ref_parts, ref_grads = _loss_and_grads(fx.model, lambda: per_token_loss(
+        fx.model, fx.prepared, fx.cfg, k, np.random.default_rng(42), fx.vocab))
+    for got, want in zip(parts, ref_parts):
+        assert abs(got - want) <= 1e-12 * abs(want)
+    for name, want in ref_grads.items():
+        gap = np.linalg.norm(grads[name] - want)
+        assert gap <= 1e-12 * np.linalg.norm(want), name
+
+
+def test_toy_game_tape_node_budget():
+    # the fused cell and the batched decoder keep a toy training game small;
+    # the per-op tape of the earlier code recorded about 4,410 nodes here
+    games, schema = synth.generate_toy_corpus(seed=0, n_games=20)
+    vocab = build_vocab(games, schema, 1)
+    bins = assign_length_bins([len(p) for g in games for p in g.document.paragraphs], 4)
+    model = ModelParams.create(np.random.default_rng(0), ModelConfig(len(vocab), 32, 32, 4))
+    counts = []
+    for i, game in enumerate(games):
+        pg = prepare_game(game, schema, vocab, bins)
+        with ad.graph_scope() as g:
+            compute_loss(model, pg, TrainConfig(), 250, np.random.default_rng(i), vocab)
+        counts.append(len(g.nodes))
+    assert max(counts) < 1000, counts
 
 
 # ---------------------------------------------------------------------------
