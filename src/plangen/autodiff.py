@@ -222,12 +222,12 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
-    if a.data.shape == b.data.shape:
+    sa, sb = a.data.shape, b.data.shape
+    if sa == sb:
         return
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast")
+    for da, db in zip(reversed(sa), reversed(sb)):
+        if da != db and da != 1 and db != 1:
+            raise ShapeError(f"{op}: shapes {sa} and {sb} do not broadcast")
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +304,15 @@ def tanh(a: Tensor) -> Tensor:
     return _make("tanh", (a,), data, bw)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Overflow-free logistic: 1 / (1 + e) for x >= 0, e / (1 + e) below,
+    with e = exp(-|x|)."""
     e = np.exp(-np.abs(x))
-    data = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    data = _sigmoid(a.data)
 
     def bw(g):
         if a.requires_grad:
@@ -398,8 +403,7 @@ def swap_last2(a: Tensor) -> Tensor:
 def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
     parts = list(parts)
     data = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    offsets = list(itertools.accumulate([p.shape[axis] for p in parts], initial=0))
 
     def bw(g):
         for p, start, stop in zip(parts, offsets[:-1], offsets[1:]):
@@ -470,8 +474,7 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor, wx: Tensor, wh: Tensor,
         raise ShapeError(f"lstm_cell: x {x.shape}, h {h.shape}, c {c.shape} do not fit "
                          f"wx {wx.shape}, wh {wh.shape}")
     gates = (x.data @ wx.data + h.data @ wh.data) + b.data
-    e = np.exp(-np.abs(gates))
-    sig = np.where(gates >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    sig = _sigmoid(gates)
     i, f, o = sig[:, :hid], sig[:, hid:2 * hid], sig[:, 3 * hid:]
     g = np.tanh(gates[:, 2 * hid:3 * hid])
     c2 = f * c.data + i * g
@@ -507,13 +510,106 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor, wx: Tensor, wh: Tensor,
     return h_out, c_out
 
 
+def lstm_seq(x: Tensor, h0: Tensor, c0: Tensor, wx: Tensor, wh: Tensor, b: Tensor,
+             mask=None, reverse: bool = False) -> Tensor:
+    """A whole LSTM recurrence over (B, T, E) inputs as one tape node;
+    returns the (B, T, H) hidden states in input order.
+
+    Each step is :func:`lstm_cell`'s arithmetic, except that x @ wx is one
+    GEMM over all steps.  ``reverse`` runs t = T-1 .. 0.  A (B, T) 0/1
+    ``mask`` zeroes a step's h and c on rows where it is 0, so a reversed
+    padded row starts from a zero state at its own last token.  The
+    backward runs the recurrence for the gate gradients only, then forms
+    the x, wx and wh gradients with one GEMM each and b's with one sum
+    (the fused-RNN layout of Appleyard et al. 2016, arXiv 1604.01946).
+    """
+    hid = wh.shape[0]
+    if (x.data.ndim != 3 or x.shape[1] == 0 or x.shape[2] != wx.shape[0]
+            or h0.shape != (x.shape[0], hid) or c0.shape != h0.shape
+            or wx.shape[1] != 4 * hid or wh.shape[1] != 4 * hid or b.shape[-1] != 4 * hid):
+        raise ShapeError(f"lstm_seq: x {x.shape}, h0 {h0.shape}, c0 {c0.shape} do not fit "
+                         f"wx {wx.shape}, wh {wh.shape}, b {b.shape}")
+    bsz, steps, emb = x.shape
+    padded = [False] * steps  # steps where the mask zeroes some row
+    if mask is not None:
+        mask = np.asarray(mask, dtype=np.float64)
+        if mask.shape != (bsz, steps):
+            raise ShapeError(f"lstm_seq: mask {mask.shape} does not fit x {x.shape}")
+        padded = (mask != 1.0).any(axis=0).tolist()
+    inputs = (x, h0, c0, wx, wh, b)
+    track = _grad_enabled and any([t.requires_grad for t in inputs])
+    xw = (x.data.reshape(bsz * steps, emb) @ wx.data).reshape(bsz, steps, 4 * hid)
+    order = range(steps - 1, -1, -1) if reverse else range(steps)
+    hs = np.empty((bsz, steps, hid))
+    saved = []  # per step (sigmoid row, g, c entering, tanh(c')), only when recording
+    h, c, whd, bd = h0.data, c0.data, wh.data, b.data
+    for t in order:
+        gates = (xw[:, t] + h @ whd) + bd
+        sig = _sigmoid(gates)
+        g = np.tanh(gates[:, 2 * hid:3 * hid])
+        c2 = sig[:, hid:2 * hid] * c + sig[:, :hid] * g
+        tc = np.tanh(c2)
+        h = sig[:, 3 * hid:] * tc
+        if padded[t]:
+            m = mask[:, t:t + 1]
+            h, c2 = h * m, c2 * m
+        if track:
+            saved.append((sig, g, c, tc))
+        c = c2
+        hs[:, t] = h
+    out = Tensor(hs, requires_grad=track)
+    if not track:
+        return out
+
+    def bw(gout):
+        dgates = np.empty((bsz, steps, 4 * hid))
+        dh = np.zeros((bsz, hid))
+        dc = np.zeros((bsz, hid))
+        wht = whd.T
+        for t, (sig, g, c_in, tc) in zip(reversed(order), reversed(saved)):
+            dh = gout[:, t] + dh
+            if padded[t]:
+                m = mask[:, t:t + 1]
+                dh, dc = dh * m, dc * m
+            i, f, o = sig[:, :hid], sig[:, hid:2 * hid], sig[:, 3 * hid:]
+            dc = dc + (dh * o) * (1.0 - tc * tc)
+            dg = dgates[:, t]
+            dg[:, :hid] = (dc * g) * i * (1.0 - i)
+            dg[:, hid:2 * hid] = (dc * c_in) * f * (1.0 - f)
+            dg[:, 2 * hid:3 * hid] = (dc * i) * (1.0 - g * g)
+            dg[:, 3 * hid:] = (dh * tc) * o * (1.0 - o)
+            dh = dg @ wht
+            dc = dc * f
+        if h0.requires_grad:
+            h0._accumulate(dh)
+        if c0.requires_grad:
+            c0._accumulate(dc)
+        dg2 = dgates.reshape(bsz * steps, 4 * hid)
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(dg2, b.shape))
+        if wh.requires_grad:
+            h_in = np.empty_like(hs)  # the state entering each step
+            if reverse:
+                h_in[:, :-1], h_in[:, -1] = hs[:, 1:], h0.data
+            else:
+                h_in[:, 1:], h_in[:, 0] = hs[:, :-1], h0.data
+            wh._accumulate(h_in.reshape(bsz * steps, hid).T @ dg2)
+        if x.requires_grad:
+            x._accumulate((dg2 @ wx.data.T).reshape(x.shape))
+        if wx.requires_grad:
+            wx._accumulate(x.data.reshape(bsz * steps, emb).T @ dg2)
+
+    _active_graph.nodes.append(OpRecord("lstm_seq", inputs, out, bw))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # normalizers / sampling
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Max-subtracted softmax along ``axis``; entries sum to 1 within 1e-9."""
-    if not np.all(np.isfinite(a.data)):
+    if not np.isfinite(a.data).all():
         raise NumericError("softmax input contains NaN or infinity")
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
@@ -528,7 +624,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    if not np.all(np.isfinite(a.data)):
+    if not np.isfinite(a.data).all():
         raise NumericError("log_softmax input contains NaN or infinity")
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     data = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))

@@ -3,7 +3,7 @@
 A paragraph (or candidate plan) is embedded, run through a BiLSTM, and
 pooled with self-attention against a trainable query; the pooled vector
 feeds LSTM_text (over generated/observed paragraphs) or LSTM_plan (over
-selected plans).  A padded batch encodes each row exactly as it would
+selected plans).  A padded batch encodes each row as it would
 alone (see ``_bilstm``).  Attention scores are bilinear (q^T W k),
 keeping query and key spaces decoupled.  All weights start uniform in
 [-0.1, 0.1] with forget-gate biases at 1.
@@ -147,28 +147,16 @@ class PoolEncoding:
 
 
 def _bilstm(fw: LSTMParams, bw: LSTMParams, x: Tensor, batch: SequenceBatch) -> Tensor:
-    """(B, L*E) inputs -> (B, L, 2H) states.  Relies on this: a state past
+    """(B, L, E) inputs -> (B, L, 2H) states.  Relies on this: a state past
     its row's length is never read (``_attn_pool`` gives it weight exactly
     0.0, as the -1e9 mask underflows ``exp``; ``plan_token_states`` cuts it
     off).  So the forward direction runs over padding unmasked; the backward
     one meets padding first and keeps the zero state there."""
-    b, length = batch.ids.shape
-    hid, emb = fw.hidden, fw.wx.shape[0]
-    steps = [ad.narrow(x, 1, i * emb, emb) for i in range(length)]
-    fw_states, bw_states = [], []
-    h = c = ad.zeros((b, hid))
-    for i in range(length):
-        h, c = lstm_cell(fw, steps[i], h, c)
-        fw_states.append(h)
-    h = c = ad.zeros((b, hid))
-    for i in reversed(range(length)):
-        h, c = lstm_cell(bw, steps[i], h, c)
-        if not batch.mask[:, i].all():
-            m = ad.const(batch.mask[:, i:i + 1])
-            h, c = ad.mul(h, m), ad.mul(c, m)
-        bw_states.append(h)
-    pairs = [s for pair in zip(fw_states, reversed(bw_states)) for s in pair]
-    return ad.reshape(ad.concat(pairs, axis=1), (b, length, 2 * hid))
+    zero = ad.zeros((batch.ids.shape[0], fw.hidden))
+    fw_states = ad.lstm_seq(x, zero, zero, fw.wx, fw.wh, fw.b)
+    bw_states = ad.lstm_seq(x, zero, zero, bw.wx, bw.wh, bw.b, mask=batch.mask,
+                            reverse=True)
+    return ad.concat([fw_states, bw_states], axis=2)
 
 
 def _attn_pool(states: Tensor, batch: SequenceBatch, q: Tensor, w: Tensor) -> tuple[Tensor, Tensor]:
@@ -186,7 +174,7 @@ def _encode_batch(enc: EncoderParams, fw: LSTMParams, bw: LSTMParams,
                   q: Tensor, w: Tensor, seqs: list[list[int]]) -> PoolEncoding:
     batch = SequenceBatch.from_sequences(seqs)
     b, length = batch.ids.shape
-    x = ad.reshape(ad.take_rows(enc.emb, batch.ids.reshape(-1)), (b, length * enc.embed_dim))
+    x = ad.reshape(ad.take_rows(enc.emb, batch.ids.reshape(-1)), (b, length, enc.embed_dim))
     token_states = _bilstm(fw, bw, x, batch)
     pooled, weights = _attn_pool(token_states, batch, q, w)
     return PoolEncoding(pooled=pooled, token_states=token_states,

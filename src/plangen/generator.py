@@ -15,7 +15,7 @@ paragraph in training, and every live hypothesis of a beam-search step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,21 +132,9 @@ def decode_step(dec: DecoderParams, enc: EncoderParams, prev_tokens: int | list[
     distributions (one row per token) and the advanced state."""
     rows = [prev_tokens] if isinstance(prev_tokens, (int, np.integer)) else prev_tokens
     h, c = lstm_cell(dec.lstm_gen, decoder_inputs(enc, rows, h_y_prev), state.h, state.c)
-    return output_distribution(dec, h, state), replace(state, h=h, c=c)
-
-
-@dataclass
-class BeamHypothesis:
-    """Token prefix with its accumulated log-probability."""
-
-    tokens: tuple[int, ...]
-    log_prob: float
-    row: int               # its state's row in the step's batched decoder state
-    finished: bool = False
-
-    def score(self) -> float:
-        steps = len(self.tokens) + (1 if self.finished else 0)
-        return self.log_prob / max(steps, 1)
+    return output_distribution(dec, h, state), DecoderState(
+        h=h, c=c, attn_states=state.attn_states, attn_keys=state.attn_keys,
+        copy_matrix=state.copy_matrix, plan_len=state.plan_len)
 
 
 # Per-step allowance for log-probabilities above 0: a copy entry can sum
@@ -154,14 +142,14 @@ class BeamHypothesis:
 _STEP_SLACK = 1e-14
 
 
-def _cannot_overtake(finished: list[BeamHypothesis], live: list[BeamHypothesis],
-                     max_len: int) -> bool:
+def _cannot_overtake(finished: list[tuple[float, tuple[int, ...]]],
+                     live: list[tuple[float, tuple[int, ...], int]], max_len: int) -> bool:
     """True once no live hypothesis can finish above the best finished one:
     later steps only add log-probabilities and a finished score divides by
     at most ``max_len``, so c = log-probability + slack bounds a live
     hypothesis's final score by max(c, c / max_len)."""
-    best = max(h.score() for h in finished)
-    ceilings = (h.log_prob + max_len * _STEP_SLACK for h in live)
+    best = max(lp / (len(tokens) + 1) for lp, tokens in finished)
+    ceilings = (-neg_lp + max_len * _STEP_SLACK for neg_lp, _, _ in live)
     return all(best > max(c, c / max_len) for c in ceilings)
 
 
@@ -177,48 +165,49 @@ def generate_paragraph(dec: DecoderParams, enc: EncoderParams, r_z: Tensor,
     truncated ones; ties break on the token sequence for determinism.
     The search ends early once no live hypothesis can still finish above
     the best finished one, which leaves the result unchanged.
+
+    A live hypothesis is (-log-probability, tokens, its row in the step's
+    batched decoder state); a finished one is (log-probability, tokens).
     """
     if beam_size < 1:
         raise ParameterError(f"beam size must be >= 1, got {beam_size}")
     with ad.no_grad():
         state = init_decoder(dec, r_z, bin_id, h_y_prev, plan_token_states,
                              plan_token_ids, len(vocab))
-        live = [BeamHypothesis(tokens=(), log_prob=0.0, row=0)]
-        finished: list[BeamHypothesis] = []
+        eos = vocab.eos_id
+        live = [(0.0, (), 0)]
+        finished: list[tuple[float, tuple[int, ...]]] = []
         for step in range(max_len):
-            rows = [hyp.row for hyp in live]
+            rows = [row for _, _, row in live]
             if rows != list(range(state.h.shape[0])):
-                state = replace(state, h=ad.take_rows(state.h, rows),
-                                c=ad.take_rows(state.c, rows))
-            prev = [hyp.tokens[-1] if hyp.tokens else vocab.bos_id for hyp in live]
+                state.h, state.c = ad.take_rows(state.h, rows), ad.take_rows(state.c, rows)
+            prev = [tokens[-1] if tokens else vocab.bos_id for _, tokens, _ in live]
             probs, state = decode_step(dec, enc, prev, state, h_y_prev)
             log_probs = np.log(np.maximum(probs.data, 1e-300))
             orders = np.argsort(-log_probs, axis=1, kind="stable")[:, : beam_size + 1]
-            candidates: list[BeamHypothesis] = []
-            for r, hyp in enumerate(live):
-                row = log_probs[r]
-                for tok in orders[r]:
-                    tok = int(tok)
-                    if tok == vocab.eos_id:
-                        if step == 0:
-                            continue
-                        candidates.append(BeamHypothesis(
-                            tokens=hyp.tokens, log_prob=hyp.log_prob + row[tok],
-                            row=r, finished=True))
-                    else:
-                        candidates.append(BeamHypothesis(
-                            tokens=hyp.tokens + (tok,), log_prob=hyp.log_prob + row[tok],
-                            row=r))
-            candidates.sort(key=lambda h: (-h.log_prob, h.tokens))
+            tops = log_probs[np.arange(len(live))[:, None], orders].tolist()
+            # (-log-probability, tokens, row, finished); no two candidates of a
+            # step share the first two, so the sort never compares the rest
+            candidates = []
+            for r, ((neg_lp, tokens, _), toks, lps) in enumerate(
+                    zip(live, orders.tolist(), tops)):
+                for tok, lp in zip(toks, lps):
+                    lp = -neg_lp + lp
+                    if tok != eos:
+                        candidates.append((-lp, tokens + (tok,), r, False))
+                    elif step > 0:
+                        candidates.append((-lp, tokens, r, True))
+            candidates.sort()
             live = []
-            for cand in candidates:
-                if cand.finished:
-                    finished.append(cand)
+            for neg_lp, tokens, r, done in candidates:
+                if done:
+                    finished.append((-neg_lp, tokens))
                 elif len(live) < beam_size:
-                    live.append(cand)
+                    live.append((neg_lp, tokens, r))
             if not live or (finished and _cannot_overtake(finished, live, max_len)):
                 break
-        pool = finished if finished else live
-        truncated = not finished
-        best = max(pool, key=lambda h: (h.score(), h.tokens))
-        return list(best.tokens), truncated
+        if finished:
+            _, tokens = max((lp / (len(t) + 1), t) for lp, t in finished)
+        else:
+            _, tokens = max((-neg_lp / max(len(t), 1), t) for neg_lp, t, _ in live)
+        return list(tokens), not finished

@@ -163,4 +163,13 @@ def primitive_grad_checks(seed: int = 3) -> dict[str, float]:
         return ad.add(ad.sum_(ad.mul(h2, h_mix)), ad.sum_(ad.mul(c2, c_mix)))
 
     results["lstm_cell"] = ad.grad_check(lstm_loss, cell)
+
+    # batch 3 over 4 steps, reversed, ragged rows; h0 and c0 get gradients too
+    shapes = ((3, 4, 3), (3, 2), (3, 2), (3, 8), (2, 8), (1, 8))  # x, h0, c0, wx, wh, b
+    seq = [ad.param(rand(shape)) for shape in shapes]
+    ragged = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [1, 1, 1, 0]], dtype=np.float64)
+    seq_mix = ad.const(rand((3, 4, 2)))
+    results["lstm_seq"] = ad.grad_check(
+        lambda: ad.sum_(ad.mul(ad.lstm_seq(*seq, mask=ragged, reverse=True), seq_mix)),
+        seq)
     return results

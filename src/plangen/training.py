@@ -46,7 +46,6 @@ from .encoders import (
     encode_paragraphs,
     encode_pool,
     initial_state,
-    lstm_cell,
     step_plan_state,
     step_text_state,
 )
@@ -291,13 +290,10 @@ def _paragraph_log_prob(model: ModelParams, pg: PreparedGame, walk: PlanWalk, t:
         pool_enc.plan_token_states(plan_idx), pg.ext_plan_tokens[plan_idx],
         model.config.vocab_size)
     prev = [vocab.bos_id] + pg.paragraph_ids[t]
-    x = decoder_inputs(model.encoder, prev, h_y_prev)
-    h, c = state.h, state.c
-    states = []
-    for i in range(len(prev)):
-        h, c = lstm_cell(dec.lstm_gen, ad.narrow(x, 0, i, 1), h, c)
-        states.append(h)
-    probs = output_distribution(dec, ad.concat(states, axis=0), state)
+    x = ad.reshape(decoder_inputs(model.encoder, prev, h_y_prev), (1, len(prev), -1))
+    lstm = dec.lstm_gen
+    h = ad.lstm_seq(x, state.h, state.c, lstm.wx, lstm.wh, lstm.b)
+    probs = output_distribution(dec, ad.reshape(h, (len(prev), lstm.hidden)), state)
     picked = ad.gather_last(probs, pg.paragraph_ids[t] + [vocab.eos_id])
     return ad.sum_(ad.log(picked), axis=0, keepdims=True)
 
@@ -406,7 +402,7 @@ def train(schema: Schema, train_games: list[Game], valid_games: list[Game],
                         f"non-finite loss at epoch {epoch} step {k}: "
                         f"{[lb.total for lb in losses]}")
                 ad.backward(mean_total)
-            ad.clip_global_norm(list(named.values()), cfg.clip_norm)
+            grad_norm = ad.clip_global_norm(list(named.values()), cfg.clip_norm)
             adagrad_update(named, accumulators, cfg.learning_rate)
             history.append({
                 "epoch": epoch, "step": k,
@@ -415,6 +411,9 @@ def train(schema: Schema, train_games: list[Game], valid_games: list[Game],
                 "kl": float(np.mean([lb.kl for lb in losses])),
                 "supervision": float(np.mean([lb.supervision for lb in losses])),
                 "epsilon": losses[0].epsilon,
+                "grad_norm": grad_norm,
+                "oracle_steps": sum(lb.oracle_steps_used for lb in losses),
+                "sampled_steps": sum(lb.sampled_steps for lb in losses),
             })
             k += 1
         acc = plan_selection_accuracy(model, prepared_valid)
@@ -522,9 +521,10 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def write_loss_log(path, history: list[dict]) -> None:
-    """Loss curves as TSV plot data."""
+    """Loss curves as TSV plot data, with the pre-clip gradient norm and the
+    oracle / sampled plan choices of each update."""
     cols = ["epoch", "step", "loss", "recon", "kl", "supervision", "epsilon",
-            "valid_plan_accuracy"]
+            "valid_plan_accuracy", "grad_norm", "oracle_steps", "sampled_steps"]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(cols) + "\n")
         for row in history:

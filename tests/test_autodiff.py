@@ -269,6 +269,59 @@ def test_lstm_cell_shape_error_names_shapes():
 
 
 # ---------------------------------------------------------------------------
+# whole-recurrence lstm (one node)
+
+RAGGED_MASK = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [1, 1, 1, 0]], dtype=float)
+
+
+def _lstm_seq_inputs(seed):
+    # x (B=3, T=4, E=3), h0, c0, wx, wh, b for H = 2
+    rng = np.random.default_rng(seed)
+    shapes = ((3, 4, 3), (3, 2), (3, 2), (3, 8), (2, 8), (1, 8))
+    return [ad.param(rng.uniform(-2.0, 2.0, size=s)) for s in shapes]
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["no_mask", "mask"])
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+def test_lstm_seq_grad_check(reverse, masked):
+    inputs = _lstm_seq_inputs(5)
+    mix = ad.const(np.random.default_rng(6).uniform(-1.0, 1.0, (3, 4, 2)))
+    mask = RAGGED_MASK if masked else None
+    err = ad.grad_check(lambda: ad.sum_(ad.mul(
+        ad.lstm_seq(*inputs, mask=mask, reverse=reverse), mix)), inputs)
+    assert err < 1e-6
+
+
+def test_lstm_seq_is_one_node_and_no_grad_gives_the_same_states():
+    inputs = _lstm_seq_inputs(7)
+    with ad.graph_scope() as g:
+        out = ad.lstm_seq(*inputs, mask=RAGGED_MASK, reverse=True)
+        assert [rec.kind for rec in g.nodes] == ["lstm_seq"]
+    with ad.no_grad(), ad.graph_scope() as g:
+        plain = ad.lstm_seq(*inputs, mask=RAGGED_MASK, reverse=True)
+        assert g.nodes == [] and not plain.requires_grad
+    assert np.array_equal(out.data, plain.data)
+    assert np.all(out.data[1, 2:] == 0.0) and np.all(out.data[2, 3] == 0.0)
+
+
+def test_lstm_seq_shape_errors():
+    x, h0, c0, wx, wh, b = _lstm_seq_inputs(8)
+    bad = {
+        "2-d x": (ad.param(np.ones((3, 3))), h0, c0, wx, wh, b),
+        "zero steps": (ad.param(np.ones((3, 0, 3))), h0, c0, wx, wh, b),
+        "wx rows": (x, h0, c0, wh, wh, b),
+        "h0 rows": (x, ad.param(np.ones((1, 2))), c0, wx, wh, b),
+        "c0 width": (x, h0, ad.param(np.ones((3, 3))), wx, wh, b),
+    }
+    for name, args in bad.items():
+        with pytest.raises(ad.ShapeError, match="lstm_seq"):
+            ad.lstm_seq(*args)
+            pytest.fail(name)
+    with pytest.raises(ad.ShapeError, match="mask"):
+        ad.lstm_seq(x, h0, c0, wx, wh, b, mask=np.ones((3, 3)))
+
+
+# ---------------------------------------------------------------------------
 # grad_check harness
 
 
