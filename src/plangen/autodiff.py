@@ -192,8 +192,10 @@ def zeros(shape) -> Tensor:
 
 def _make(kind: str, inputs: Sequence[Tensor], data: np.ndarray,
           backward_fn: Callable[[np.ndarray], None] | None) -> Tensor:
-    track = _grad_enabled and any([t.requires_grad for t in inputs])
-    out = Tensor(data, requires_grad=track)
+    if not _grad_enabled:  # nothing is recorded, so the inputs need no scan
+        return Tensor(data)
+    track = any([t.requires_grad for t in inputs])
+    out = Tensor(data, track)
     if track and backward_fn is not None:
         _active_graph.nodes.append(OpRecord(kind, inputs, out, backward_fn))
     return out
@@ -221,13 +223,13 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
-    sa, sb = a.data.shape, b.data.shape
-    if sa == sb:
-        return
-    for da, db in zip(reversed(sa), reversed(sb)):
-        if da != db and da != 1 and db != 1:
-            raise ShapeError(f"{op}: shapes {sa} and {sb} do not broadcast")
+def _broadcast(ufunc, a: Tensor, b: Tensor, op: str) -> np.ndarray:
+    """ufunc(a, b) under numpy broadcasting; shapes that do not broadcast
+    raise ShapeError."""
+    try:
+        return ufunc(a.data, b.data)
+    except ValueError:
+        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +237,7 @@ def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "add")
-    data = a.data + b.data
+    data = _broadcast(np.add, a, b, "add")
 
     def bw(g):
         if a.requires_grad:
@@ -248,8 +249,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "sub")
-    data = a.data - b.data
+    data = _broadcast(np.subtract, a, b, "sub")
 
     def bw(g):
         if a.requires_grad:
@@ -261,8 +261,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "mul")
-    data = a.data * b.data
+    data = _broadcast(np.multiply, a, b, "mul")
 
     def bw(g):
         if a.requires_grad:
@@ -274,8 +273,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "div")
-    data = a.data / b.data
+    data = _broadcast(np.divide, a, b, "div")
 
     def bw(g):
         if a.requires_grad:
@@ -455,6 +453,29 @@ def gather_last(a: Tensor, indices) -> Tensor:
             a._accumulate_at((rows, idx), g[:, 0])
 
     return _make("gather_last", (a,), data, bw)
+
+
+def scatter_cols(weights: Tensor, ids, size: int) -> Tensor:
+    """Add the weights of every row into ``size`` columns: out[..., v] sums
+    weights[..., j] over the j with ids[j] == v, in order of j, so repeated
+    ids add up.  One row of ``ids`` serves every weight row, and ids index
+    columns as numpy indices do (as in :func:`take_rows`, a negative id
+    counts from the end); the backward is the gather g[..., ids]."""
+    w = weights.data
+    ids = np.asarray(ids, dtype=np.intp)
+    if ids.shape != w.shape[-1:]:
+        raise ShapeError(f"scatter_cols: ids {ids.shape} do not fit weights {w.shape}")
+    data = np.zeros(w.shape[:-1] + (size,))
+    try:
+        np.add.at(data, (..., ids), w)
+    except IndexError:
+        raise ShapeError(f"scatter_cols: ids past the end of {size} columns") from None
+
+    def bw(g):
+        if weights.requires_grad:
+            weights._accumulate(g[..., ids])
+
+    return _make("scatter_cols", (weights,), data, bw)
 
 
 def lstm_cell(x: Tensor, h: Tensor, c: Tensor, wx: Tensor, wh: Tensor,

@@ -201,26 +201,24 @@ def encode_plan(enc: EncoderParams, tokens: list[int]) -> tuple[Tensor, Tensor]:
 
 @dataclass
 class ContextState:
-    """Running LSTM_text / LSTM_plan states; t counts observed paragraphs."""
+    """Running LSTM_text / LSTM_plan states, one row per document."""
 
     h_y: Tensor
     c_y: Tensor
     h_z: Tensor
     c_z: Tensor
-    t: int = 0
 
 
-def initial_state(enc: EncoderParams) -> ContextState:
-    two_h = 2 * enc.hidden
-    return ContextState(h_y=ad.zeros((1, two_h)), c_y=ad.zeros((1, two_h)),
-                        h_z=ad.zeros((1, two_h)), c_z=ad.zeros((1, two_h)), t=0)
+def initial_state(enc: EncoderParams, rows: int = 1) -> ContextState:
+    zero = ad.zeros((rows, 2 * enc.hidden))
+    return ContextState(h_y=zero, c_y=zero, h_z=zero, c_z=zero)
 
 
 def step_text_state(enc: EncoderParams, r_y: Tensor, state: ContextState) -> ContextState:
     h, c = lstm_cell(enc.lstm_text, r_y, state.h_y, state.c_y)
-    return ContextState(h_y=h, c_y=c, h_z=state.h_z, c_z=state.c_z, t=state.t + 1)
+    return ContextState(h_y=h, c_y=c, h_z=state.h_z, c_z=state.c_z)
 
 
 def step_plan_state(enc: EncoderParams, r_z: Tensor, state: ContextState) -> ContextState:
     h, c = lstm_cell(enc.lstm_plan, r_z, state.h_z, state.c_z)
-    return ContextState(h_y=state.h_y, c_y=state.c_y, h_z=h, c_z=c, t=state.t)
+    return ContextState(h_y=state.h_y, c_y=state.c_y, h_z=h, c_z=c)

@@ -62,66 +62,112 @@ class DecoderParams:
 @dataclass
 class DecoderState:
     """Recurrent state (one row per decoded sequence) plus the fixed
-    per-paragraph attention inputs."""
+    attention inputs of S plans: the rows form S equal consecutive groups,
+    group s attending to plan s.  Position 0 of a plan is the bin
+    pseudo-token."""
 
-    h: Tensor              # (rows, 2H)
-    c: Tensor              # (rows, 2H)
-    attn_states: Tensor    # (plan_len + 1, 2H), row 0 is the bin pseudo-token
-    attn_keys: Tensor      # transposed attn_states, cached
-    copy_matrix: Tensor    # (plan_len, vocab) one-hot scatter, constant
-    plan_len: int
+    h: Tensor                      # (rows, 2H)
+    c: Tensor                      # (rows, 2H)
+    attn_states: Tensor            # (S, P + 1, 2H)
+    attn_keys: Tensor              # attn_states with the last two axes swapped, cached
+    attn_mask: np.ndarray | None   # (S, 1, P + 1): -1e9 past a padded plan's end
+    plan_ids: np.ndarray           # (S, 1, P): vocabulary ids of the plan tokens
+    vocab_size: int
 
 
 def init_decoder(dec: DecoderParams, r_z: Tensor, bin_id: int, h_y_prev: Tensor,
                  plan_token_states: Tensor, plan_token_ids: list[int],
                  vocab_size: int) -> DecoderState:
-    """Start a paragraph: state from the plan encoding, bin pseudo-token
-    prepended to the plan representation stream."""
-    bins = dec.bin_emb.shape[0]
-    if not 0 <= bin_id < bins:
-        raise ParameterError(f"bin id {bin_id} outside [0, {bins})")
-    plan_len = plan_token_states.shape[0]
-    if plan_len == 0 or not plan_token_ids:
-        raise DataError("decoder needs non-empty plan token states")
-    if plan_len != len(plan_token_ids):
+    """Start one paragraph: state from the plan encoding (1, 2H), bin
+    pseudo-token prepended to the plan's (P, 2H) token states."""
+    if plan_token_states.shape[0] != len(plan_token_ids):
         raise DataError("plan token states and ids disagree in length")
-    bin_row = ad.narrow(dec.bin_emb, 0, bin_id, 1)
-    attn_states = ad.concat([bin_row, plan_token_states], axis=0)
-    scatter = np.zeros((plan_len, vocab_size))
-    scatter[np.arange(plan_len), np.asarray(plan_token_ids, dtype=np.intp)] = 1.0
+    states = ad.reshape(plan_token_states, (1,) + plan_token_states.shape)
+    return init_paragraph_decoders(dec, r_z, [bin_id], states, [plan_token_ids], vocab_size)
+
+
+def init_paragraph_decoders(dec: DecoderParams, r_z: Tensor, bin_ids: list[int],
+                            plan_token_states: Tensor, plan_token_ids: list[list[int]],
+                            vocab_size: int) -> DecoderState:
+    """Start S paragraphs at once: row s of ``r_z`` (S, 2H) and of the
+    padded ``plan_token_states`` (S, L, 2H) belong to the plan with ids
+    ``plan_token_ids[s]``; positions past a plan's end are masked out."""
+    bins = dec.bin_emb.shape[0]
+    for bin_id in bin_ids:
+        if not 0 <= bin_id < bins:
+            raise ParameterError(f"bin id {bin_id} outside [0, {bins})")
+    paras, width, two_h = plan_token_states.shape
+    lengths = [len(ids) for ids in plan_token_ids]
+    if any(n == 0 or n > width for n in lengths):
+        raise DataError("decoder needs non-empty plan token ids that fit the token states")
+    ids = np.zeros((paras, 1, width), dtype=np.intp)  # padding: weight 0 on id 0
+    for s, plan in enumerate(plan_token_ids):
+        ids[s, 0, :len(plan)] = plan
+    if ids.min() < 0 or ids.max() >= vocab_size:
+        raise DataError(f"plan token id outside the vocabulary [0, {vocab_size})")
+    mask = None  # -1e9 past each plan's end; position 0 is the bin pseudo-token
+    if any(n < width for n in lengths):
+        mask = np.where(np.arange(width + 1) <= np.array(lengths)[:, None, None], 0.0, -1e9)
+    bin_rows = ad.reshape(ad.take_rows(dec.bin_emb, bin_ids), (paras, 1, two_h))
+    attn_states = ad.concat([bin_rows, plan_token_states], axis=1)
     return DecoderState(
         h=r_z,
-        c=ad.zeros((1, r_z.shape[1])),
+        c=ad.zeros(r_z.shape),
         attn_states=attn_states,
         attn_keys=ad.swap_last2(attn_states),
-        copy_matrix=ad.const(scatter),
-        plan_len=plan_len,
+        attn_mask=mask,
+        plan_ids=ids,
+        vocab_size=vocab_size,
     )
 
 
-def decoder_inputs(enc: EncoderParams, prev_tokens: list[int], h_y_prev: Tensor) -> Tensor:
-    """LSTM_gen inputs [emb(prev), h_y_prev], one row per previous token."""
+def decoder_inputs(enc: EncoderParams, prev_tokens, h_y: Tensor, rows=None) -> Tensor:
+    """LSTM_gen inputs [emb(prev), h_y row], one per previous token: a list
+    of tokens gives rows, a (B, T) id array a (B, T, E + 2H) batch.  Token
+    i reads row ``rows[i]`` of ``h_y``; by default, row i of an ``h_y``
+    with one row per token, else row 0."""
     n = len(prev_tokens)
-    context = h_y_prev if n == 1 else ad.take_rows(h_y_prev, [0] * n)
-    return ad.concat([ad.take_rows(enc.emb, prev_tokens), context], axis=1)
+    if rows is None and h_y.shape[0] == n:
+        context = h_y
+    else:
+        context = ad.take_rows(h_y, [0] * n if rows is None else rows)
+    return ad.concat([ad.take_rows(enc.emb, prev_tokens), context], axis=-1)
 
 
-def output_distribution(dec: DecoderParams, h: Tensor, state: DecoderState) -> Tensor:
+_ONE = ad.const([[1.0]])
+
+
+def output_distribution(dec: DecoderParams, h: Tensor, state: DecoderState,
+                        targets=None) -> Tensor:
     """Next-token distributions over the vocabulary for the R decoder
-    states in the rows of ``h`` (R, 2H), all under ``state``'s plan."""
-    scores = ad.matmul(ad.matmul(h, dec.attn_w), state.attn_keys)
+    states in the rows of ``h`` (R, 2H), R / S consecutive rows under each
+    of ``state``'s S plans.  Given one target id per row, only the target
+    probabilities, as an (R, 1) column, and the (R, V) copy distribution
+    and mixture are never formed; without targets, every row must share
+    one plan (S = 1)."""
+    query = ad.matmul(h, dec.attn_w)
+    query = ad.reshape(query, (state.attn_states.shape[0], -1, query.shape[1]))
+    scores = ad.matmul(query, state.attn_keys)
+    if state.attn_mask is not None:
+        scores = ad.add(scores, ad.const(state.attn_mask))
     weights = ad.softmax(scores, axis=-1)
-    context = ad.matmul(weights, state.attn_states)
+    context = ad.reshape(ad.matmul(weights, state.attn_states), h.shape)
+    token_w = ad.narrow(weights, -1, 1, state.plan_ids.shape[-1])
+    token_w = ad.div(token_w, ad.sum_(token_w, axis=-1, keepdims=True))
+    if targets is None:
+        copy_probs = ad.scatter_cols(token_w, state.plan_ids.reshape(-1), state.vocab_size)
+    else:  # a target's copy mass is the weight of the plan positions holding it
+        targets = np.asarray(targets, dtype=np.intp)
+        hit = state.plan_ids == targets.reshape(token_w.shape[:-1] + (1,))
+        copy_probs = ad.sum_(ad.mul(token_w, ad.const(hit)), axis=-1, keepdims=True)
+    copy_probs = ad.reshape(copy_probs, (h.shape[0], -1))
 
     gen_logits = ad.add(ad.matmul(ad.concat([h, context], axis=1), dec.ff_w), dec.ff_b)
     gen_probs = ad.softmax(gen_logits, axis=-1)
+    if targets is not None:
+        gen_probs = ad.gather_last(gen_probs, targets)
     gate = ad.sigmoid(ad.add(ad.matmul(h, dec.copy_w), dec.copy_b))
-
-    token_w = ad.narrow(weights, 1, 1, state.plan_len)
-    token_sum = ad.sum_(token_w, axis=-1, keepdims=True)
-    copy_probs = ad.matmul(ad.div(token_w, token_sum), state.copy_matrix)
-
-    keep = ad.sub(ad.const([[1.0]]), gate)
+    keep = ad.sub(_ONE, gate)
     return ad.add(ad.mul(gen_probs, keep), ad.mul(copy_probs, gate))
 
 
@@ -134,7 +180,7 @@ def decode_step(dec: DecoderParams, enc: EncoderParams, prev_tokens: int | list[
     h, c = lstm_cell(dec.lstm_gen, decoder_inputs(enc, rows, h_y_prev), state.h, state.c)
     return output_distribution(dec, h, state), DecoderState(
         h=h, c=c, attn_states=state.attn_states, attn_keys=state.attn_keys,
-        copy_matrix=state.copy_matrix, plan_len=state.plan_len)
+        attn_mask=state.attn_mask, plan_ids=state.plan_ids, vocab_size=state.vocab_size)
 
 
 # Per-step allowance for log-probabilities above 0: a copy entry can sum
@@ -177,12 +223,15 @@ def generate_paragraph(dec: DecoderParams, enc: EncoderParams, r_z: Tensor,
         eos = vocab.eos_id
         live = [(0.0, (), 0)]
         finished: list[tuple[float, tuple[int, ...]]] = []
+        contexts = {1: h_y_prev}  # h_y_prev once per live hypothesis, by count
         for step in range(max_len):
             rows = [row for _, _, row in live]
             if rows != list(range(state.h.shape[0])):
                 state.h, state.c = ad.take_rows(state.h, rows), ad.take_rows(state.c, rows)
+            if len(live) not in contexts:
+                contexts[len(live)] = ad.take_rows(h_y_prev, [0] * len(live))
             prev = [tokens[-1] if tokens else vocab.bos_id for _, tokens, _ in live]
-            probs, state = decode_step(dec, enc, prev, state, h_y_prev)
+            probs, state = decode_step(dec, enc, prev, state, contexts[len(live)])
             log_probs = np.log(np.maximum(probs.data, 1e-300))
             orders = np.argsort(-log_probs, axis=1, kind="stable")[:, : beam_size + 1]
             tops = log_probs[np.arange(len(live))[:, None], orders].tolist()

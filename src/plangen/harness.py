@@ -77,8 +77,8 @@ class LossFixture:
 
     def loss(self) -> ad.Tensor:
         rng = np.random.default_rng(self.noise_seed)
-        lb = compute_loss(self.model, self.prepared, self.cfg, self.step, rng,
-                          self.vocab)
+        [lb] = compute_loss(self.model, [self.prepared], self.cfg, self.step, rng,
+                            self.vocab)
         return lb.total_tensor
 
 
@@ -172,4 +172,12 @@ def primitive_grad_checks(seed: int = 3) -> dict[str, float]:
     results["lstm_seq"] = ad.grad_check(
         lambda: ad.sum_(ad.mul(ad.lstm_seq(*seq, mask=ragged, reverse=True), seq_mix)),
         seq)
+
+    # one plan of 4 ids over 6 columns, shared by 2 x 3 rows; it repeats id 2
+    sw = ad.param(rand((2, 3, 4)))
+    scatter_ids = np.array([2, 5, 2, 0])
+    scatter_mix = ad.const(rand((2, 3, 6)))
+    results["scatter_cols"] = ad.grad_check(
+        lambda: ad.sum_(ad.mul(ad.scatter_cols(ad.tanh(sw), scatter_ids, 6), scatter_mix)),
+        [sw])
     return results

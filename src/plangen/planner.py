@@ -50,10 +50,11 @@ class PlannerParams:
 
 @dataclass
 class PlanDistribution:
-    """Probabilities (and log-probabilities) over pool entries."""
+    """Probabilities (and log-probabilities) over pool entries, one row per
+    query."""
 
-    probs: Tensor       # (1, N)
-    log_probs: Tensor   # (1, N)
+    probs: Tensor       # (rows, N)
+    log_probs: Tensor   # (rows, N)
     source: str         # "prior" | "posterior"
 
     def argmax(self) -> int:
@@ -61,35 +62,47 @@ class PlanDistribution:
 
 
 def _distribution(w: Tensor, b: Tensor, attn_w: Tensor, h_z: Tensor, h_y: Tensor,
-                  pool_encodings: Tensor, source: str) -> PlanDistribution:
-    if pool_encodings.shape[0] == 0:
+                  pools: Tensor, source: str, mask=None) -> PlanDistribution:
+    """Padded pools (G, N, 2H) score query row r against pool r % G, and
+    ``mask`` (G, N) adds -1e9 past each pool's end; one pool (N, 2H) is
+    the case G = 1."""
+    if pools.shape[-2] == 0:
         raise DataError("plan distribution over an empty pool")
+    if pools.data.ndim == 2:
+        pools = ad.reshape(pools, (1,) + pools.shape)
+    games, n, two_h = pools.shape
     query = ad.tanh(ad.add(ad.matmul(ad.concat([h_z, h_y], axis=1), w), b))
-    scores = ad.matmul(ad.matmul(query, attn_w), ad.swap_last2(pool_encodings))
+    qw = ad.matmul(query, attn_w)
+    rows = qw.shape[0]
+    qw = ad.reshape(qw, (rows // games, games, two_h, 1))
+    scores = ad.reshape(ad.matmul(pools, qw), (rows, n))
+    if mask is not None:
+        scores = ad.add(scores, ad.const(np.tile(mask, (rows // games, 1))))
     return PlanDistribution(probs=ad.softmax(scores, axis=-1),
                             log_probs=ad.log_softmax(scores, axis=-1),
                             source=source)
 
 
 def prior_plan_distribution(pp: PlannerParams, h_z_prev: Tensor, h_y_prev: Tensor,
-                            pool_encodings: Tensor) -> PlanDistribution:
+                            pools: Tensor, mask=None) -> PlanDistribution:
     """Selection distribution conditioned on what was said and planned so far."""
     return _distribution(pp.ff_plan_w, pp.ff_plan_b, pp.attn_w,
-                         h_z_prev, h_y_prev, pool_encodings, "prior")
+                         h_z_prev, h_y_prev, pools, "prior", mask)
 
 
 def posterior_plan_distribution(pp: PlannerParams, h_z_prev: Tensor, h_y_curr: Tensor,
-                                pool_encodings: Tensor) -> PlanDistribution:
+                                pools: Tensor, mask=None) -> PlanDistribution:
     """Inference distribution; reads the text state updated with the observed
     paragraph, and its own feed-forward layer, but shares everything else."""
     return _distribution(pp.ff_post_w, pp.ff_post_b, pp.attn_w,
-                         h_z_prev, h_y_curr, pool_encodings, "posterior")
+                         h_z_prev, h_y_curr, pools, "posterior", mask)
 
 
 def kl_divergence(q: PlanDistribution, p: PlanDistribution) -> Tensor:
-    """Exact KL(q || p) by summation over the categorical support."""
+    """Exact KL(q || p) per row, (rows, 1), by summation over the
+    categorical support."""
     diff = ad.sub(q.log_probs, p.log_probs)
-    return ad.sum_(ad.mul(ad.exp(q.log_probs), diff))
+    return ad.sum_(ad.mul(ad.exp(q.log_probs), diff), axis=-1, keepdims=True)
 
 
 def sample_plan(dist: PlanDistribution, temperature: float | None = None,

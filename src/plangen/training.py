@@ -1,24 +1,27 @@
 """Interleaved per-paragraph training: ELBO with distant supervision,
 scheduled sampling, AdaGrad updates, and checkpointing.
 
-The per-game loss has two phases.  The planning walk visits paragraphs
-t = 1..T: encode the observed paragraph, form the posterior (from the
+The loss of one update is recorded as one tape over all its games, in
+two phases.  The planning walk visits paragraphs t = 1..T of every game
+in lockstep: encode the observed paragraph, form the posterior (from the
 updated text state) and the prior (from the previous one), accumulate
 the exact categorical KL and the log posterior probability of the
 oracle step, pick the next plan (oracle with probability eps_k,
 otherwise a Gumbel-Softmax sample from the posterior), and advance both
-recurrences.  A terminal step after the last paragraph supervises
+recurrences.  A terminal step after a game's last paragraph supervises
 selection of the reserved EOP pool entry, which is how inference learns
 to stop.  The decoder sees the walk only through the discrete chosen
 plan and the text state before each paragraph, so the second phase
-teacher-forces every paragraph under its chosen plan afterwards.
-Reconstruction is summed over tokens, the whole document is
-backpropagated (no truncation), and the minimized total is
--(reconstruction - KL + lambda * supervision).
+teacher-forces every paragraph of every game under its chosen plan
+afterwards, as the rows of one decoder pass.  Reconstruction is summed
+over tokens, the whole document is backpropagated (no truncation), and
+each game's minimized total is -(reconstruction - KL + lambda *
+supervision).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -43,19 +46,24 @@ from .corpus import (
 from .encoders import (
     EncoderParams,
     PoolEncoding,
+    SequenceBatch,
     encode_paragraphs,
     encode_pool,
     initial_state,
     step_plan_state,
     step_text_state,
 )
-from .generator import DecoderParams, decoder_inputs, init_decoder, output_distribution
+from .generator import (
+    DecoderParams,
+    decoder_inputs,
+    init_paragraph_decoders,
+    output_distribution,
+)
 from .planner import (
     PlannerParams,
     kl_divergence,
     posterior_plan_distribution,
     prior_plan_distribution,
-    sample_plan,
     scheduled_sampling_rate,
     use_oracle_step,
 )
@@ -205,115 +213,195 @@ def _scalar(x: float) -> Tensor:
     return ad.const([[x]])
 
 
+def _offsets(sizes: list[int]) -> list[int]:
+    return list(itertools.accumulate(sizes, initial=0))[:-1]
+
+
+def _pick_rows(a: Tensor, b: Tensor, use_b: list[bool]) -> Tensor:
+    """Row g of ``b`` where ``use_b[g]``, else row g of ``a``."""
+    idx = [a.shape[0] + g if u else g for g, u in enumerate(use_b)]
+    return ad.take_rows(ad.concat([a, b], axis=0), idx)
+
+
+def _padded_pools(pooled: Tensor, sizes: list[int]) -> tuple[Tensor, np.ndarray | None]:
+    """(G, N_max, 2H) pools from the games' consecutive rows of ``pooled``,
+    and the additive (G, N_max) mask, -1e9 past a pool's end (None when no
+    pool is padded)."""
+    n_max = max(sizes)
+    if all(n == n_max for n in sizes):
+        return ad.reshape(pooled, (len(sizes), n_max, -1)), None
+    rows = [off + min(j, n - 1) for off, n in zip(_offsets(sizes), sizes)
+            for j in range(n_max)]
+    mask = np.array([[0.0] * n + [-1e9] * (n_max - n) for n in sizes])
+    return ad.reshape(ad.take_rows(pooled, rows), (len(sizes), n_max, -1)), mask
+
+
 @dataclass
 class PlanWalk:
-    """Planning phase of one game.
+    """Planning phase of G games, walked in lockstep.
 
-    ``chosen[t]`` is the plan paragraph t is decoded under and
-    ``h_y_prev[t]`` the text state before it; ``hits`` counts posterior
-    argmax == oracle over all T + 1 steps, terminal EOP included.
+    ``pool_enc`` holds every game's pool, game g's entries from row
+    ``pool_offsets[g]`` on.  ``chosen[g][t]`` is the plan paragraph t of
+    game g is decoded under.  Row t * G + g of ``h_y`` is game g's text
+    state before step t.  ``kl`` and ``supervision`` are (G, 1);
+    ``hits[g]`` counts posterior argmax == oracle over the game's T + 1
+    steps, terminal EOP included.
     """
 
     pool_enc: PoolEncoding
-    chosen: list[int]
-    h_y_prev: list[Tensor]
+    pool_offsets: list[int]
+    chosen: list[list[int]]
+    h_y: Tensor
     kl: Tensor
     supervision: Tensor
-    hits: int
-    oracle_steps_used: int
-    sampled_steps: int
+    hits: list[int]
+    oracle_steps_used: list[int]
+    sampled_steps: list[int]
 
 
-def plan_walk(model: ModelParams, pg: PreparedGame, eps: float, temperature: float,
-              rng: np.random.Generator) -> PlanWalk:
-    """Prior, posterior, exact KL and supervision per step, then the
-    scheduled-sampling choice (one coin per paragraph, Gumbel noise only
-    on the sampled path) and both state updates."""
-    pool_enc = encode_pool(model.encoder, pg.ext_plan_tokens)
-    para_enc = encode_paragraphs(model.encoder, pg.paragraph_ids)
-    state = initial_state(model.encoder)
-    n = len(pg.paragraph_ids)
-    kl = _scalar(0.0)
-    sup = _scalar(0.0)
-    chosen: list[int] = []
-    h_y_prev: list[Tensor] = []
-    hits = oracle_used = sampled = 0
+def plan_walk(model: ModelParams, games: list[PreparedGame], eps: float,
+              temperature: float, rng: np.random.Generator) -> PlanWalk:
+    """Prior, posterior, exact KL and supervision per step, the
+    scheduled-sampling choice and both state updates, for all games at
+    once: step t advances every game that has a paragraph t.
 
-    for t in range(n + 1):
-        prior = prior_plan_distribution(model.planner, state.h_z, state.h_y,
-                                        pool_enc.pooled)
-        if t == n:  # terminal step: the document ended, so the oracle picks EOP
-            next_text, target = state, pg.eop_index
-        else:
-            r_y = ad.narrow(para_enc.pooled, 0, t, 1)
-            next_text = step_text_state(model.encoder, r_y, state)
-            target = pg.oracle_steps[t]
-        post = posterior_plan_distribution(model.planner, state.h_z, next_text.h_y,
-                                           pool_enc.pooled)
-        step_kl = kl_divergence(post, prior)
-        if step_kl.item() < KL_FLOOR:
-            raise NumericError(f"negative KL {step_kl.item()} at "
-                               + ("terminal step" if t == n else f"paragraph {t}"))
-        kl = ad.add(kl, ad.reshape(step_kl, (1, 1)))
-        sup = ad.add(sup, ad.gather_last(post.log_probs, [target]))
-        hits += int(post.argmax() == target)
-        if t == n:
+    Every draw is made first, game by game in paragraph order (one coin
+    per paragraph, then Gumbel noise over the pool when the coin says
+    sample), so the stream and the choices are those of walking the games
+    one after another.  Only the posterior of a step where some game
+    samples is needed inside the walk; the prior and posterior of every
+    step are then scored in one batch each."""
+    enc, planner = model.encoder, model.planner
+    n_games = len(games)
+    steps = [len(pg.paragraph_ids) for pg in games]
+    sizes = [len(pg.ext_plan_tokens) for pg in games]
+    draws = [[None if use_oracle_step(eps, rng) else ad.sample_gumbel(rng, (1, n))
+              for _ in range(t)] for n, t in zip(sizes, steps)]
+    pool_enc = encode_pool(enc, [toks for pg in games for toks in pg.ext_plan_tokens])
+    para = encode_paragraphs(enc, [p for pg in games for p in pg.paragraph_ids]).pooled
+    pool_offsets, para_offsets = _offsets(sizes), _offsets(steps)
+    pools, mask = _padded_pools(pool_enc.pooled, sizes)
+
+    state = initial_state(enc, n_games)
+    h_z, h_y, h_y_next = [], [], []
+    chosen: list[list[int]] = [[] for _ in games]
+    for t in range(max(steps) + 1):
+        h_z.append(state.h_z)
+        h_y.append(state.h_y)
+        walking = [t < n for n in steps]
+        if not any(walking):  # every game is at its terminal step or past it
+            h_y_next.append(state.h_y)
             break
+        r_y = ad.take_rows(para, [off + min(t, n - 1) for off, n in zip(para_offsets, steps)])
+        text = step_text_state(enc, r_y, state)
+        if not all(walking):  # a game at its terminal step keeps its text state
+            text.h_y = _pick_rows(text.h_y, state.h_y, [not w for w in walking])
+        h_y_next.append(text.h_y)
 
-        if use_oracle_step(eps, rng):
-            choice = target
-            r_z = pool_enc.plan_vector(choice)
-            oracle_used += 1
-        else:
-            noise = ad.sample_gumbel(rng, (1, len(pg.ext_plan_tokens)))
-            choice, relaxed = sample_plan(post, temperature, noise, mode="gumbel")
-            r_z = ad.matmul(relaxed, pool_enc.pooled)
-            sampled += 1
-        chosen.append(choice)
-        h_y_prev.append(state.h_y)
-        state = step_plan_state(model.encoder, r_z, next_text)
+        # a game past its last paragraph takes entry 0; nothing reads it
+        picks = [pg.oracle_steps[t] if w else 0 for pg, w in zip(games, walking)]
+        sampling = [w and draws[g][t] is not None for g, w in enumerate(walking)]
+        r_z = None
+        if not all(sampling):
+            r_z = ad.take_rows(pool_enc.pooled, [off + j for off, j in zip(pool_offsets, picks)])
+        if any(sampling):
+            post = posterior_plan_distribution(planner, state.h_z, text.h_y, pools, mask)
+            gumbel = np.zeros(post.log_probs.shape)
+            for g in np.flatnonzero(sampling):
+                gumbel[g, :sizes[g]] = draws[g][t][0]
+            relaxed = ad.gumbel_softmax_sample(post.log_probs, temperature, gumbel)
+            for g in np.flatnonzero(sampling):
+                picks[g] = int(np.argmax(relaxed.data[g]))
+            mixed = ad.matmul(ad.reshape(relaxed, (n_games, 1, -1)), pools)
+            mixed = ad.reshape(mixed, (n_games, -1))
+            r_z = mixed if r_z is None else _pick_rows(r_z, mixed, sampling)
+        for g, w in enumerate(walking):
+            if w:
+                chosen[g].append(picks[g])
+        state = step_plan_state(enc, r_z, text)
 
-    return PlanWalk(pool_enc=pool_enc, chosen=chosen, h_y_prev=h_y_prev, kl=kl,
-                    supervision=sup, hits=hits, oracle_steps_used=oracle_used,
-                    sampled_steps=sampled)
+    # rows t * G + g, for steps t = 0 .. T_max
+    h_z_all, h_y_all = ad.concat(h_z, axis=0), ad.concat(h_y, axis=0)
+    prior = prior_plan_distribution(planner, h_z_all, h_y_all, pools, mask)
+    post = posterior_plan_distribution(planner, h_z_all, ad.concat(h_y_next, axis=0),
+                                       pools, mask)
+    n_steps = len(h_z)
+    targets = [pg.oracle_steps[t] if t < n else pg.eop_index if t == n else 0
+               for t in range(n_steps) for pg, n in zip(games, steps)]
+    active = np.array([[t <= n for n in steps] for t in range(n_steps)])
+    kl = kl_divergence(post, prior)
+    kl_grid = kl.data.reshape(n_steps, n_games)
+    negative = np.argwhere((kl_grid < KL_FLOOR) & active)
+    if len(negative):
+        t, g = negative[0]
+        raise NumericError(f"negative KL {kl_grid[t, g]} in game {g} at "
+                           + ("terminal step" if t == steps[g] else f"paragraph {t}"))
+    hit_grid = np.argmax(post.log_probs.data, axis=1) == np.array(targets)
+    hits = (hit_grid.reshape(n_steps, n_games) & active).sum(axis=0)
+    # per_game @ column sums each game's active steps
+    per_game = ad.const(np.concatenate([np.diag(row) for row in active], axis=1))
+    oracle_used = [sum(d is None for d in game_draws) for game_draws in draws]
+    return PlanWalk(pool_enc=pool_enc, pool_offsets=pool_offsets, chosen=chosen,
+                    h_y=h_y_all, kl=ad.matmul(per_game, kl),
+                    supervision=ad.matmul(per_game, ad.gather_last(post.log_probs, targets)),
+                    hits=hits.tolist(), oracle_steps_used=oracle_used,
+                    sampled_steps=[t - o for t, o in zip(steps, oracle_used)])
 
 
-def _paragraph_log_prob(model: ModelParams, pg: PreparedGame, walk: PlanWalk, t: int,
-                        vocab: Vocab) -> Tensor:
-    """Teacher-forced log-probability of paragraph t under its chosen plan:
-    the LSTM_gen recurrence over the gold prefix, then every next-token
-    distribution of the paragraph in one batch of rows."""
-    plan_idx, h_y_prev, pool_enc = walk.chosen[t], walk.h_y_prev[t], walk.pool_enc
-    dec = model.decoder
-    state = init_decoder(
-        dec, pool_enc.plan_vector(plan_idx), pg.bin_ids[t], h_y_prev,
-        pool_enc.plan_token_states(plan_idx), pg.ext_plan_tokens[plan_idx],
-        model.config.vocab_size)
-    prev = [vocab.bos_id] + pg.paragraph_ids[t]
-    x = ad.reshape(decoder_inputs(model.encoder, prev, h_y_prev), (1, len(prev), -1))
+def _reconstruction(model: ModelParams, games: list[PreparedGame], walk: PlanWalk,
+                    vocab: Vocab) -> Tensor:
+    """(G, 1) teacher-forced log-probabilities of every game's paragraphs
+    under their chosen plans: one LSTM_gen recurrence whose rows are all
+    the paragraphs, padded to the longest, then one output distribution
+    with per-paragraph plan attention, scored at the valid positions."""
+    enc, dec = model.encoder, model.decoder
+    n_games = len(games)
+    paras = [(g, t) for g, pg in enumerate(games) for t in range(len(pg.paragraph_ids))]
+    plans = [walk.pool_offsets[g] + walk.chosen[g][t] for g, t in paras]
+    prev = SequenceBatch.from_sequences(
+        [[vocab.bos_id] + games[g].paragraph_ids[t] for g, t in paras])
+    n_paras, width = prev.ids.shape
+    context_rows = np.repeat([[t * n_games + g] for g, t in paras], width, axis=1)
+    x = decoder_inputs(enc, prev.ids, walk.h_y, context_rows)
+    r_z = ad.take_rows(walk.pool_enc.pooled, plans)
     lstm = dec.lstm_gen
-    h = ad.lstm_seq(x, state.h, state.c, lstm.wx, lstm.wh, lstm.b)
-    probs = output_distribution(dec, ad.reshape(h, (len(prev), lstm.hidden)), state)
-    picked = ad.gather_last(probs, pg.paragraph_ids[t] + [vocab.eos_id])
-    return ad.sum_(ad.log(picked), axis=0, keepdims=True)
+    h = ad.lstm_seq(x, r_z, ad.zeros(r_z.shape), lstm.wx, lstm.wh, lstm.b)
+    state = init_paragraph_decoders(
+        dec, r_z, [games[g].bin_ids[t] for g, t in paras],
+        ad.take_rows(walk.pool_enc.token_states, plans),
+        [games[g].ext_plan_tokens[walk.chosen[g][t]] for g, t in paras],
+        model.config.vocab_size)
+    # row s * width + i scores token i of paragraph s (EOS after the last);
+    # rows past a paragraph's end target id 0 and are left out
+    targets = np.zeros((n_paras, width), dtype=np.intp)
+    per_game = np.zeros((n_games, n_paras, width))
+    for s, (g, t) in enumerate(paras):
+        tokens = games[g].paragraph_ids[t] + [vocab.eos_id]
+        targets[s, :len(tokens)] = tokens
+        per_game[g, s, :len(tokens)] = 1.0
+    valid = np.flatnonzero(prev.mask)
+    probs = output_distribution(dec, ad.reshape(h, (n_paras * width, -1)), state,
+                                targets.reshape(-1))
+    picked = ad.take_rows(probs, valid)
+    return ad.matmul(ad.const(per_game.reshape(n_games, -1)[:, valid]), ad.log(picked))
 
 
-def compute_loss(model: ModelParams, pg: PreparedGame, cfg: TrainConfig,
-                 k: int, rng: np.random.Generator, vocab: Vocab) -> LossBreakdown:
-    """Single-game loss at training step k: the planning walk (the only
-    consumer of ``rng``), then reconstruction in paragraph order."""
+def compute_loss(model: ModelParams, games: list[PreparedGame], cfg: TrainConfig,
+                 k: int, rng: np.random.Generator, vocab: Vocab) -> list[LossBreakdown]:
+    """Per-game losses of one update at training step k, recorded as one
+    tape: the planning walk (the only consumer of ``rng``), then
+    reconstruction."""
     eps = scheduled_sampling_rate(k, cfg.decay_slope)
-    walk = plan_walk(model, pg, eps, cfg.temperature, rng)
-    recon = _scalar(0.0)
-    for t in range(len(pg.paragraph_ids)):
-        recon = ad.add(recon, _paragraph_log_prob(model, pg, walk, t, vocab))
+    walk = plan_walk(model, games, eps, cfg.temperature, rng)
+    recon = _reconstruction(model, games, walk, vocab)
     kl, sup = walk.kl, walk.supervision
     total = ad.neg(ad.add(ad.sub(recon, kl), ad.mul(_scalar(cfg.lam), sup)))
-    return LossBreakdown(
-        reconstruction=recon.item(), kl=kl.item(), supervision=sup.item(),
-        total=total.item(), total_tensor=total,
-        oracle_steps_used=walk.oracle_steps_used, sampled_steps=walk.sampled_steps,
-        epsilon=eps)
+    return [LossBreakdown(
+        reconstruction=float(recon.data[g, 0]), kl=float(kl.data[g, 0]),
+        supervision=float(sup.data[g, 0]), total=float(total.data[g, 0]),
+        total_tensor=total if len(games) == 1 else ad.narrow(total, 0, g, 1),
+        oracle_steps_used=walk.oracle_steps_used[g], sampled_steps=walk.sampled_steps[g],
+        epsilon=eps) for g in range(len(games))]
 
 
 def adagrad_update(named: dict[str, Tensor], accumulators: dict[str, np.ndarray],
@@ -326,19 +414,23 @@ def adagrad_update(named: dict[str, Tensor], accumulators: dict[str, np.ndarray]
         t.data -= lr * g / np.sqrt(acc + ADAGRAD_EPS)
 
 
-def plan_selection_accuracy(model: ModelParams, prepared: list[PreparedGame]) -> float:
+def plan_selection_accuracy(model: ModelParams, prepared: list[PreparedGame],
+                            batch_size: int = TrainConfig.batch_size) -> float:
     """Posterior-argmax accuracy against oracle plans, terminal EOP step
     included: the planning walk at eps = 1, so oracle choices drive both
-    recurrences."""
+    recurrences.  Games are walked ``batch_size`` at a time, which bounds
+    memory by one batch."""
     # eps = 1 still draws one coin per paragraph; a private generator keeps
-    # the training stream untouched.
+    # the training stream untouched, and the chunks draw from it in order.
+    if not prepared:
+        return 0.0
     coins = np.random.default_rng(0)
-    hits = total = 0
+    hits = 0
     with ad.no_grad():
-        for pg in prepared:
-            hits += plan_walk(model, pg, 1.0, TrainConfig.temperature, coins).hits
-            total += len(pg.paragraph_ids) + 1
-    return hits / total if total else 0.0
+        for start in range(0, len(prepared), batch_size):
+            chunk = prepared[start:start + batch_size]
+            hits += sum(plan_walk(model, chunk, 1.0, TrainConfig.temperature, coins).hits)
+    return hits / sum(len(pg.paragraph_ids) + 1 for pg in prepared)
 
 
 @dataclass
@@ -394,8 +486,8 @@ def train(schema: Schema, train_games: list[Game], valid_games: list[Game],
             batch = order[start:start + cfg.batch_size]
             with ad.graph_scope():
                 model.zero_grad()
-                losses = [compute_loss(model, prepared[int(i)], cfg, k, rng, vocab)
-                          for i in batch]
+                losses = compute_loss(model, [prepared[int(i)] for i in batch], cfg, k,
+                                      rng, vocab)
                 mean_total = _mean_loss(losses)
                 if not np.isfinite(mean_total.item()):
                     raise NumericError(
@@ -416,7 +508,7 @@ def train(schema: Schema, train_games: list[Game], valid_games: list[Game],
                 "sampled_steps": sum(lb.sampled_steps for lb in losses),
             })
             k += 1
-        acc = plan_selection_accuracy(model, prepared_valid)
+        acc = plan_selection_accuracy(model, prepared_valid, cfg.batch_size)
         history.append({"epoch": epoch, "step": k, "valid_plan_accuracy": acc})
         if progress is not None:
             progress(epoch, acc, history[-2]["loss"] if len(history) > 1 else None)

@@ -70,8 +70,9 @@ def test_elementwise_trivial_identities():
 
 
 def test_elementwise_shape_mismatch():
-    with pytest.raises(ad.ShapeError):
-        ad.add(ad.const(np.zeros((2, 3))), ad.const(np.zeros((2, 4))))
+    for op in (ad.add, ad.sub, ad.mul, ad.div):
+        with pytest.raises(ad.ShapeError, match=r"\(2, 3\) and \(2, 4\) do not broadcast"):
+            op(ad.const(np.ones((2, 3))), ad.const(np.ones((2, 4))))
 
 
 def test_single_axis_broadcast_and_backward():
@@ -319,6 +320,39 @@ def test_lstm_seq_shape_errors():
             pytest.fail(name)
     with pytest.raises(ad.ShapeError, match="mask"):
         ad.lstm_seq(x, h0, c0, wx, wh, b, mask=np.ones((3, 3)))
+
+
+# ---------------------------------------------------------------------------
+# scatter_cols
+
+
+SCATTER_IDS = {
+    "distinct": np.array([4, 1, 0]),
+    "repeated": np.array([2, 5, 2]),  # a plan that repeats a token id
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCATTER_IDS))
+@pytest.mark.parametrize("shape", [(4, 3), (2, 4, 3)], ids=["rows", "groups"])
+def test_scatter_cols_matches_one_hot_matmul_and_grad_checks(case, shape):
+    ids = SCATTER_IDS[case]
+    rng = np.random.default_rng(12)
+    w = ad.param(rng.uniform(-1.0, 1.0, shape))
+    one_hot = np.zeros((len(ids), 6))
+    one_hot[np.arange(len(ids)), ids] = 1.0
+    assert np.allclose(ad.scatter_cols(w, ids, 6).data, w.data @ one_hot, rtol=0, atol=1e-15)
+    mix = ad.const(rng.uniform(-1.0, 1.0, shape[:-1] + (6,)))
+    err = ad.grad_check(lambda: ad.sum_(ad.mul(ad.scatter_cols(ad.tanh(w), ids, 6), mix)),
+                        [w])
+    assert err < 1e-8
+
+
+def test_scatter_cols_rejects_ids_that_do_not_fit():
+    w = ad.param(np.ones((2, 3)))
+    with pytest.raises(ad.ShapeError, match="past the end"):
+        ad.scatter_cols(w, [0, 1, 6], 6)
+    with pytest.raises(ad.ShapeError, match="do not fit"):
+        ad.scatter_cols(w, [0, 1], 6)
 
 
 # ---------------------------------------------------------------------------

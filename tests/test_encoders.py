@@ -85,7 +85,6 @@ def test_batched_encoding_matches_single(enc):
 
 def test_state_stepping_is_pure_and_compositional(enc):
     state = initial_state(enc)
-    assert state.t == 0
     r1 = encode_paragraphs(enc, [[4, 5]]).pooled
     r2 = encode_paragraphs(enc, [[6, 7, 8]]).pooled
     r3 = encode_paragraphs(enc, [[9]]).pooled
@@ -93,14 +92,13 @@ def test_state_stepping_is_pure_and_compositional(enc):
     once = step_text_state(enc, r1, state)
     again = step_text_state(enc, r1, state)
     assert np.array_equal(once.h_y.data, again.h_y.data)
-    assert once.t == 1
+    assert once.h_z is state.h_z and once.c_z is state.c_z  # text steps leave the plan state
 
     rolled = state
     for r in (r1, r2, r3):
         rolled = step_text_state(enc, r, rolled)
     composed = step_text_state(enc, r3, step_text_state(enc, r2, once))
     assert np.allclose(rolled.h_y.data, composed.h_y.data, atol=1e-12)
-    assert rolled.t == 3
 
 
 def test_zero_state_zero_input_closed_form(enc):
@@ -124,7 +122,7 @@ def test_plan_state_mirrors_text_state(enc):
     s1 = step_plan_state(enc, r, state)
     s2 = step_plan_state(enc, r, state)
     assert np.array_equal(s1.h_z.data, s2.h_z.data)
-    assert s1.t == 0  # plan steps do not advance the paragraph counter
+    assert s1.h_y is state.h_y and s1.c_y is state.c_y  # plan steps leave the text state
     rolled = step_plan_state(enc, r, s1)
     composed = step_plan_state(enc, r, step_plan_state(enc, r, state))
     assert np.allclose(rolled.h_z.data, composed.h_z.data, atol=1e-12)

@@ -46,8 +46,8 @@ def test_bin_conditioning_changes_attention_inputs(model, vocab):
     h_y = ad.zeros((1, TWO_H))
     s0 = init_decoder(dec, r_z, 0, h_y, states, [7, 8, 9], len(vocab))
     s1 = init_decoder(dec, r_z, 1, h_y, states, [7, 8, 9], len(vocab))
-    assert not np.allclose(s0.attn_states.data[0], s1.attn_states.data[0])
-    assert np.allclose(s0.attn_states.data[1:], s1.attn_states.data[1:])
+    assert not np.allclose(s0.attn_states.data[0, 0], s1.attn_states.data[0, 0])
+    assert np.allclose(s0.attn_states.data[0, 1:], s1.attn_states.data[0, 1:])
 
 
 def test_single_bin_reduces_to_unbinned_model(model, vocab):
@@ -56,7 +56,7 @@ def test_single_bin_reduces_to_unbinned_model(model, vocab):
     dec1 = DecoderParams.create(rng, len(vocab), HID, HID, bins=1)
     r_z, states = _plan(enc, [7, 8])
     s = init_decoder(dec1, r_z, 0, ad.zeros((1, TWO_H)), states, [7, 8], len(vocab))
-    assert s.attn_states.shape == (3, TWO_H)
+    assert s.attn_states.shape == (1, 3, TWO_H)
     with pytest.raises(ad.ParameterError):
         init_decoder(dec1, r_z, 1, ad.zeros((1, TWO_H)), states, [7, 8], len(vocab))
 
@@ -66,6 +66,9 @@ def test_init_decoder_rejects_empty_plan(model, vocab):
     r_z, states = _plan(enc, [7])
     with pytest.raises(DataError):
         init_decoder(dec, r_z, 0, ad.zeros((1, TWO_H)), states, [], len(vocab))
+    for bad in (-1, len(vocab)):  # checked once per paragraph, not per step
+        with pytest.raises(DataError, match="outside the vocabulary"):
+            init_decoder(dec, r_z, 0, ad.zeros((1, TWO_H)), states, [bad], len(vocab))
 
 
 def test_init_decoder_matches_primitive_recomposition(model, vocab):
@@ -73,7 +76,7 @@ def test_init_decoder_matches_primitive_recomposition(model, vocab):
     r_z, states = _plan(enc, [7, 8, 9])
     s = init_decoder(dec, r_z, 2, ad.zeros((1, TWO_H)), states, [7, 8, 9], len(vocab))
     expect = np.vstack([dec.bin_emb.data[2:3], states.data])
-    assert np.allclose(s.attn_states.data, expect, atol=1e-12)
+    assert np.allclose(s.attn_states.data[0], expect, atol=1e-12)
     assert np.allclose(s.h.data, r_z.data)
     assert np.all(s.c.data == 0)
 

@@ -4,6 +4,7 @@ AdaGrad arithmetic, smoke training, checkpoint determinism."""
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -46,8 +47,8 @@ def _relaxed_eps_config(**kw) -> TrainConfig:
 
 def test_loss_sign_identity_and_finiteness():
     fx = build_loss_fixture()
-    lb = compute_loss(fx.model, fx.prepared, fx.cfg, 0, np.random.default_rng(0),
-                      fx.vocab)
+    [lb] = compute_loss(fx.model, [fx.prepared], fx.cfg, 0, np.random.default_rng(0),
+                        fx.vocab)
     assert np.isfinite(lb.total)
     assert lb.total == pytest.approx(-(lb.reconstruction - lb.kl
                                        + fx.cfg.lam * lb.supervision), abs=1e-9)
@@ -58,15 +59,15 @@ def test_loss_sign_identity_and_finiteness():
 def test_lambda_zero_reduces_to_elbo_only():
     fx = build_loss_fixture()
     cfg0 = _relaxed_eps_config(lam=0.0)
-    lb = compute_loss(fx.model, fx.prepared, cfg0, 0, np.random.default_rng(0),
-                      fx.vocab)
+    [lb] = compute_loss(fx.model, [fx.prepared], cfg0, 0, np.random.default_rng(0),
+                        fx.vocab)
     assert lb.total == pytest.approx(-(lb.reconstruction - lb.kl), abs=1e-9)
 
 
 def test_pure_oracle_path_never_samples():
     fx = build_loss_fixture()
-    lb = compute_loss(fx.model, fx.prepared, fx.cfg, 0, np.random.default_rng(3),
-                      fx.vocab)  # k=0 -> epsilon=1
+    [lb] = compute_loss(fx.model, [fx.prepared], fx.cfg, 0, np.random.default_rng(3),
+                        fx.vocab)  # k=0 -> epsilon=1
     assert lb.epsilon == 1.0
     assert lb.sampled_steps == 0
     assert lb.oracle_steps_used == len(fx.prepared.paragraph_ids)
@@ -74,8 +75,8 @@ def test_pure_oracle_path_never_samples():
 
 def test_pure_sampling_path_never_uses_oracle():
     fx = build_loss_fixture()
-    lb = compute_loss(fx.model, fx.prepared, fx.cfg, 10**9, np.random.default_rng(3),
-                      fx.vocab)
+    [lb] = compute_loss(fx.model, [fx.prepared], fx.cfg, 10**9, np.random.default_rng(3),
+                        fx.vocab)
     assert lb.epsilon == 0.0
     assert lb.oracle_steps_used == 0
     assert lb.sampled_steps == len(fx.prepared.paragraph_ids)
@@ -83,10 +84,10 @@ def test_pure_sampling_path_never_uses_oracle():
 
 def test_loss_deterministic_given_noise_stream():
     fx = build_loss_fixture()
-    a = compute_loss(fx.model, fx.prepared, fx.cfg, 10**9, np.random.default_rng(5),
-                     fx.vocab)
-    b = compute_loss(fx.model, fx.prepared, fx.cfg, 10**9, np.random.default_rng(5),
-                     fx.vocab)
+    [a] = compute_loss(fx.model, [fx.prepared], fx.cfg, 10**9, np.random.default_rng(5),
+                       fx.vocab)
+    [b] = compute_loss(fx.model, [fx.prepared], fx.cfg, 10**9, np.random.default_rng(5),
+                       fx.vocab)
     assert a.total == b.total
 
 
@@ -226,8 +227,8 @@ def straight_line_loss(model, pg, cfg, k, rng, vocab):
 @pytest.mark.parametrize("k", [0, 10**9])  # oracle path and sampled path
 def test_loss_matches_straight_line_recomposition(k):
     fx = build_loss_fixture()
-    lb = compute_loss(fx.model, fx.prepared, fx.cfg, k,
-                      np.random.default_rng(42), fx.vocab)
+    [lb] = compute_loss(fx.model, [fx.prepared], fx.cfg, k,
+                        np.random.default_rng(42), fx.vocab)
     recon, kl, sup, total, _ = straight_line_loss(
         fx.model, fx.prepared, fx.cfg, k, np.random.default_rng(42), fx.vocab)
     assert lb.reconstruction == pytest.approx(recon, abs=1e-9)
@@ -249,11 +250,12 @@ def test_plan_selection_accuracy_matches_straight_line_hits(seed):
 def per_token_loss(model, pg, cfg, k, rng, vocab):
     """The earlier reconstruction, kept as the reference: one decode_step
     per gold token, summed in token order; returns (parts, total tensor)."""
-    walk = plan_walk(model, pg, scheduled_sampling_rate(k, cfg.decay_slope),
+    walk = plan_walk(model, [pg], scheduled_sampling_rate(k, cfg.decay_slope),
                      cfg.temperature, rng)
     recon = ad.const([[0.0]])
     for t, tokens in enumerate(pg.paragraph_ids):
-        plan, h_y_prev = walk.chosen[t], walk.h_y_prev[t]
+        # one game: row t of walk.h_y is the text state before paragraph t
+        plan, h_y_prev = walk.chosen[0][t], ad.narrow(walk.h_y, 0, t, 1)
         state = init_decoder(model.decoder, walk.pool_enc.plan_vector(plan), pg.bin_ids[t],
                              h_y_prev, walk.pool_enc.plan_token_states(plan),
                              pg.ext_plan_tokens[plan], model.config.vocab_size)
@@ -282,8 +284,8 @@ def test_batched_reconstruction_matches_per_token_decoding(hidden, k):
     fx = build_loss_fixture(hidden=hidden)
 
     def batched():
-        lb = compute_loss(fx.model, fx.prepared, fx.cfg, k, np.random.default_rng(42),
-                          fx.vocab)
+        [lb] = compute_loss(fx.model, [fx.prepared], fx.cfg, k, np.random.default_rng(42),
+                            fx.vocab)
         return [lb.reconstruction, lb.kl, lb.supervision, lb.total], lb.total_tensor
 
     parts, grads = _loss_and_grads(fx.model, batched)
@@ -296,22 +298,86 @@ def test_batched_reconstruction_matches_per_token_decoding(hidden, k):
         assert gap <= 1e-12 * np.linalg.norm(want), name
 
 
-def test_toy_game_tape_node_budget():
-    # one node per LSTM recurrence and the batched decoder keep a toy training
-    # game small; the per-op tape of the earlier code recorded about 4,410
-    # nodes here, the per-step fused cells 647
+def test_toy_update_tape_node_budget():
+    # a 4-game update is one tape: one encoder pass per encoder, a lockstep
+    # planning walk and one decoder pass.  Recorded one game at a time, the
+    # same update was about 1,310 nodes (326 per game).
     games, schema = synth.generate_toy_corpus(seed=0, n_games=20)
     vocab = build_vocab(games, schema, 1)
     bins = assign_length_bins([len(p) for g in games for p in g.document.paragraphs], 4)
     model = ModelParams.create(np.random.default_rng(0), ModelConfig(len(vocab), 32, 32, 4))
+    prepared = [prepare_game(game, schema, vocab, bins) for game in games]
     kinds = []
-    for i, game in enumerate(games):
-        pg = prepare_game(game, schema, vocab, bins)
+    for i in range(0, len(prepared), 4):
         with ad.graph_scope() as g:
-            compute_loss(model, pg, TrainConfig(), 250, np.random.default_rng(i), vocab)
+            compute_loss(model, prepared[i:i + 4], TrainConfig(), 250,
+                         np.random.default_rng(i), vocab)
         kinds.append(Counter(rec.kind for rec in g.nodes))
     worst = max(kinds, key=lambda c: c.total())
     assert worst.total() < 400, dict(worst.most_common())
+
+
+def _ragged_update():
+    """Three toy games with different pool sizes, one cut to 2 paragraphs."""
+    games, schema = synth.generate_toy_corpus(seed=0, n_games=3)
+    vocab = build_vocab(games, schema, 1)
+    bins = assign_length_bins([len(p) for g in games for p in g.document.paragraphs], 4)
+    prepared = [prepare_game(game, schema, vocab, bins) for game in games]
+    short = prepared[1]
+    prepared[1] = replace(short, paragraph_ids=short.paragraph_ids[:2],
+                          oracle_steps=short.oracle_steps[:2], bin_ids=short.bin_ids[:2])
+    assert len({len(pg.ext_plan_tokens) for pg in prepared}) > 1
+    model = ModelParams.create(np.random.default_rng(3), ModelConfig(len(vocab), 4, 4, 4))
+    return model, prepared, vocab
+
+
+@pytest.mark.parametrize("k", [0, 250, 10**9])
+def test_ragged_update_matches_one_game_at_a_time(k):
+    model, prepared, vocab = _ragged_update()
+    cfg = TrainConfig(hidden=4, embed=4)
+
+    def run(batched):
+        rng = np.random.default_rng(11)
+        named = model.named()
+        with ad.graph_scope() as g:
+            model.zero_grad()
+            if batched:
+                losses = compute_loss(model, prepared, cfg, k, rng, vocab)
+            else:
+                losses = [compute_loss(model, [pg], cfg, k, rng, vocab)[0] for pg in prepared]
+            mean = ad.mul(ad.add(ad.add(losses[0].total_tensor, losses[1].total_tensor),
+                                 losses[2].total_tensor), ad.const([[1.0 / 3.0]]))
+            ad.backward(mean, g)
+        grads = {name: t.grad_matrix().copy() for name, t in named.items()}
+        return losses, grads, rng.bit_generator.state
+
+    with ad.no_grad():
+        chosen = [plan_walk(model, prepared, scheduled_sampling_rate(k, cfg.decay_slope),
+                            cfg.temperature, np.random.default_rng(11)).chosen]
+        rng = np.random.default_rng(11)
+        chosen.append([plan_walk(model, [pg], scheduled_sampling_rate(k, cfg.decay_slope),
+                                 cfg.temperature, rng).chosen[0] for pg in prepared])
+    assert chosen[0] == chosen[1]
+    assert [len(c) for c in chosen[0]] == [4, 2, 4]
+
+    losses, grads, state = run(batched=True)
+    ref_losses, ref_grads, ref_state = run(batched=False)
+    assert state == ref_state
+    for got, want in zip(losses, ref_losses):
+        for part in ("reconstruction", "kl", "supervision", "total"):
+            assert abs(getattr(got, part) - getattr(want, part)) <= 1e-12 * abs(getattr(want, part))
+        assert (got.oracle_steps_used, got.sampled_steps) == (want.oracle_steps_used,
+                                                              want.sampled_steps)
+    for name, want in ref_grads.items():
+        assert np.linalg.norm(grads[name] - want) <= 1e-12 * np.linalg.norm(want), name
+
+
+def test_plan_selection_accuracy_is_the_same_in_any_chunking():
+    model, prepared, _ = _ragged_update()
+    accs = {size: plan_selection_accuracy(model, prepared, size) for size in (1, 2, 3)}
+    hits = sum(plan_walk(model, [pg], 1.0, TrainConfig.temperature,
+                         np.random.default_rng(0)).hits[0] for pg in prepared)
+    assert set(accs.values()) == {hits / sum(len(pg.paragraph_ids) + 1 for pg in prepared)}
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +503,7 @@ def test_divergence_aborts_with_numeric_error():
     fx = build_loss_fixture()
     fx.model.decoder.ff_b.data[...] = np.nan
     with pytest.raises((ad.NumericError, ad.DomainError)):
-        compute_loss(fx.model, fx.prepared, fx.cfg, 0, np.random.default_rng(0),
+        compute_loss(fx.model, [fx.prepared], fx.cfg, 0, np.random.default_rng(0),
                      fx.vocab)
 
 
