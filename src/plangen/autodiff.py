@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from contextlib import contextmanager
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -302,11 +302,18 @@ def tanh(a: Tensor) -> Tensor:
     return _make("tanh", (a,), data, bw)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Overflow-free logistic: 1 / (1 + e) for x >= 0, e / (1 + e) below,
-    with e = exp(-|x|)."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None,
+             tmp: np.ndarray | None = None) -> np.ndarray:
+    """Overflow-free logistic exp(min(x, 0)) / (exp(-|x|) + 1): 1 / (1 + e)
+    for x >= 0 and e / (1 + e) below, with e = exp(-|x|), bitwise as
+    where(x >= 0, 1, e) / (1 + e) gives it (NaN stays NaN).  ``out`` and
+    ``tmp`` are optional buffers of x's shape."""
+    den = np.copysign(x, -1.0, out=out)
+    np.exp(den, out=den)
+    den += 1.0
+    num = np.minimum(x, 0.0, out=tmp)
+    np.exp(num, out=num)
+    return np.divide(num, den, out=den)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -433,9 +440,12 @@ def take_rows(a: Tensor, indices) -> Tensor:
 
     def bw(g):
         if a.requires_grad:
-            full = np.zeros_like(a.data)
-            np.add.at(full, idx, g)
-            a._accumulate(full)
+            # one bincount over flat (row, column) slots adds the rows in
+            # order from zero, bitwise as np.add.at does
+            rows, width = a.shape[0], int(np.prod(a.shape[1:]))
+            slots = (idx.reshape(-1, 1) % rows) * width + np.arange(width)
+            full = np.bincount(slots.reshape(-1), weights=g.reshape(-1), minlength=a.size)
+            a._accumulate(full.reshape(a.shape))
 
     return _make("take_rows", (a,), data, bw)
 
@@ -531,94 +541,152 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor, wx: Tensor, wh: Tensor,
     return h_out, c_out
 
 
+class LSTMDirection(NamedTuple):
+    """One direction of :func:`lstm_lockstep`: its cell weights, whether it
+    runs t = T-1 .. 0, and an optional (B, T) 0/1 mask that zeroes its h
+    and c on rows where it is 0 (only at steps where some row is)."""
+
+    wx: Tensor
+    wh: Tensor
+    b: Tensor
+    reverse: bool = False
+    mask: np.ndarray | None = None
+
+
 def lstm_seq(x: Tensor, h0: Tensor, c0: Tensor, wx: Tensor, wh: Tensor, b: Tensor,
              mask=None, reverse: bool = False) -> Tensor:
     """A whole LSTM recurrence over (B, T, E) inputs as one tape node;
-    returns the (B, T, H) hidden states in input order.
+    returns the (B, T, H) hidden states in input order.  The one-direction
+    case of :func:`lstm_lockstep`; a reversed, masked padded row starts
+    from a zero state at its own last token."""
+    return lstm_lockstep(x, h0, c0, [LSTMDirection(wx, wh, b, reverse, mask)])
 
-    Each step is :func:`lstm_cell`'s arithmetic, except that x @ wx is one
-    GEMM over all steps.  ``reverse`` runs t = T-1 .. 0.  A (B, T) 0/1
-    ``mask`` zeroes a step's h and c on rows where it is 0, so a reversed
-    padded row starts from a zero state at its own last token.  The
-    backward runs the recurrence for the gate gradients only, then forms
-    the x, wx and wh gradients with one GEMM each and b's with one sum
-    (the fused-RNN layout of Appleyard et al. 2016, arXiv 1604.01946).
+
+def lstm_lockstep(x: Tensor, h0: Tensor, c0: Tensor,
+                  directions: Sequence[LSTMDirection]) -> Tensor:
+    """D independent LSTM recurrences over the same (B, T, E) input as one
+    ``lstm_seq`` tape node; returns (B, T, D*H), direction d's states in
+    columns d*H:(d+1)*H.  Every direction starts from (h0, c0).
+
+    Each step is :func:`lstm_cell`'s arithmetic on a (D, B, .) stack, each
+    direction at its own time: one stacked matmul against the (D, H, 4H)
+    recurrent weights and one set of elementwise ops.  x @ wx is one GEMM
+    per direction over all steps.  The backward runs the stacked recurrence
+    for the gate gradients only, then forms each direction's x, wx and wh
+    gradients with one GEMM each and b's with one sum (the fused-RNN layout
+    of Appleyard et al. 2016, arXiv 1604.01946).  Directions accumulate
+    into the shared x, h0 and c0 last one first, so the result is bitwise
+    that of D one-direction nodes recorded in order.
     """
-    hid = wh.shape[0]
-    if (x.data.ndim != 3 or x.shape[1] == 0 or x.shape[2] != wx.shape[0]
-            or h0.shape != (x.shape[0], hid) or c0.shape != h0.shape
-            or wx.shape[1] != 4 * hid or wh.shape[1] != 4 * hid or b.shape[-1] != 4 * hid):
+    dirs = list(directions)
+    n_dir, hid = len(dirs), dirs[0].wh.shape[0]
+    if (x.data.ndim != 3 or x.shape[1] == 0 or h0.shape != (x.shape[0], hid)
+            or c0.shape != h0.shape
+            or any(d.wx.shape != (x.shape[2], 4 * hid) or d.wh.shape != (hid, 4 * hid)
+                   or d.b.shape[-1] != 4 * hid for d in dirs)):
+        weights = ", ".join(f"wx {d.wx.shape}, wh {d.wh.shape}, b {d.b.shape}" for d in dirs)
         raise ShapeError(f"lstm_seq: x {x.shape}, h0 {h0.shape}, c0 {c0.shape} do not fit "
-                         f"wx {wx.shape}, wh {wh.shape}, b {b.shape}")
+                         f"{weights}")
     bsz, steps, emb = x.shape
-    padded = [False] * steps  # steps where the mask zeroes some row
-    if mask is not None:
-        mask = np.asarray(mask, dtype=np.float64)
-        if mask.shape != (bsz, steps):
-            raise ShapeError(f"lstm_seq: mask {mask.shape} does not fit x {x.shape}")
-        padded = (mask != 1.0).any(axis=0).tolist()
-    inputs = (x, h0, c0, wx, wh, b)
+    # step s of direction d runs at time s, or T-1-s when it is reversed
+    order = [slice(None, None, -1 if d.reverse else 1) for d in dirs]
+    times = list(zip(*[range(steps)[o] for o in order]))  # per step, each direction's time
+    zeroed = [[] for _ in range(steps)]  # per step: (direction, (B, 1) mask) where it zeroes a row
+    for d, direction in enumerate(dirs):
+        if direction.mask is not None:
+            mask = np.asarray(direction.mask, dtype=np.float64)
+            if mask.shape != (bsz, steps):
+                raise ShapeError(f"lstm_seq: mask {mask.shape} does not fit x {x.shape}")
+            padded = (mask != 1.0).any(axis=0).tolist()
+            for s, ts in enumerate(times):
+                if padded[ts[d]]:
+                    zeroed[s].append((d, mask[:, ts[d], None]))
+    inputs = (x, h0, c0, *[t for d in dirs for t in d[:3]])
     track = _grad_enabled and any([t.requires_grad for t in inputs])
-    xw = (x.data.reshape(bsz * steps, emb) @ wx.data).reshape(bsz, steps, 4 * hid)
-    order = range(steps - 1, -1, -1) if reverse else range(steps)
-    hs = np.empty((bsz, steps, hid))
-    saved = []  # per step (sigmoid row, g, c entering, tanh(c')), only when recording
-    h, c, whd, bd = h0.data, c0.data, wh.data, b.data
-    for t in order:
-        gates = (xw[:, t] + h @ whd) + bd
-        sig = _sigmoid(gates)
-        g = np.tanh(gates[:, 2 * hid:3 * hid])
-        c2 = sig[:, hid:2 * hid] * c + sig[:, :hid] * g
-        tc = np.tanh(c2)
-        h = sig[:, 3 * hid:] * tc
-        if padded[t]:
-            m = mask[:, t:t + 1]
-            h, c2 = h * m, c2 * m
-        if track:
-            saved.append((sig, g, c, tc))
-        c = c2
-        hs[:, t] = h
+    x2 = x.data.reshape(bsz * steps, emb)
+    xw = np.empty((steps, n_dir, bsz, 4 * hid))  # row s: each direction's step s
+    for d, direction in enumerate(dirs):
+        xw_d = (x2 @ direction.wx.data).reshape(bsz, steps, 4 * hid)
+        xw[:, d] = xw_d.transpose(1, 0, 2)[order[d]]
+    whs = np.array([d.wh.data for d in dirs])
+    bs = np.array([d.b.data.reshape(1, 4 * hid) for d in dirs])
+    # per step: sigmoid row, g, c leaving, tanh(c), in one slot when not
+    # recording; and h leaving
+    kept = steps if track else 1
+    sig_all = np.empty((kept, n_dir, bsz, 4 * hid))
+    i_all, f_all, o_all = sig_all[..., :hid], sig_all[..., hid:2 * hid], sig_all[..., 3 * hid:]
+    g_all, c_all, tc_all = (np.empty((kept, n_dir, bsz, hid)) for _ in range(3))
+    h_all = np.empty((steps, n_dir, bsz, hid))
+    sig_tmp, fc = np.empty((n_dir, bsz, 4 * hid)), np.empty((n_dir, bsz, hid))
+    slots = zip(sig_all, i_all, f_all, o_all, g_all, c_all, tc_all)
+    if not track:
+        slots = itertools.repeat(next(slots))
+    h, c = h0.data[None], c0.data[None]  # broadcast over the directions
+    for (sig, i, f, o, g, c2, tc), h2, xw_s, zero in zip(slots, h_all, xw, zeroed):
+        gates = h @ whs
+        gates += xw_s
+        gates += bs
+        _sigmoid(gates, out=sig, tmp=sig_tmp)
+        np.tanh(gates[..., 2 * hid:3 * hid], out=g)
+        np.multiply(f, c, out=fc)
+        c = np.multiply(i, g, out=c2)  # c2 may be c's slot: c is read above
+        c += fc
+        np.tanh(c, out=tc)
+        h = np.multiply(o, tc, out=h2)
+        for d, m in zero:
+            h[d] *= m
+            c[d] *= m
+    hs = np.empty((bsz, steps, n_dir * hid))
+    for d in range(n_dir):
+        hs[:, :, d * hid:(d + 1) * hid] = h_all[order[d], d].transpose(1, 0, 2)
     out = Tensor(hs, requires_grad=track)
     if not track:
         return out
 
     def bw(gout):
-        dgates = np.empty((bsz, steps, 4 * hid))
-        dh = np.zeros((bsz, hid))
-        dc = np.zeros((bsz, hid))
-        wht = whd.T
-        for t, (sig, g, c_in, tc) in zip(reversed(order), reversed(saved)):
-            dh = gout[:, t] + dh
-            if padded[t]:
-                m = mask[:, t:t + 1]
-                dh, dc = dh * m, dc * m
-            i, f, o = sig[:, :hid], sig[:, hid:2 * hid], sig[:, 3 * hid:]
+        dgates = np.empty((n_dir, bsz, steps, 4 * hid))  # batch-major, as the GEMMs read it
+        dg = np.empty((n_dir, bsz, 4 * hid))
+        dh = np.zeros((n_dir, bsz, hid))
+        dc = np.zeros((n_dir, bsz, hid))
+        whts = whs.transpose(0, 2, 1)
+        for s in range(steps - 1, -1, -1):
+            i, f, o, g, tc = i_all[s], f_all[s], o_all[s], g_all[s], tc_all[s]
+            c_in = c_all[s - 1] if s else c0.data
+            for d, t in enumerate(times[s]):
+                dh[d] += gout[:, t, d * hid:(d + 1) * hid]
+            for d, m in zeroed[s]:
+                dh[d] *= m
+                dc[d] *= m
             dc = dc + (dh * o) * (1.0 - tc * tc)
-            dg = dgates[:, t]
-            dg[:, :hid] = (dc * g) * i * (1.0 - i)
-            dg[:, hid:2 * hid] = (dc * c_in) * f * (1.0 - f)
-            dg[:, 2 * hid:3 * hid] = (dc * i) * (1.0 - g * g)
-            dg[:, 3 * hid:] = (dh * tc) * o * (1.0 - o)
-            dh = dg @ wht
+            dg[..., :hid] = (dc * g) * i * (1.0 - i)
+            dg[..., hid:2 * hid] = (dc * c_in) * f * (1.0 - f)
+            dg[..., 2 * hid:3 * hid] = (dc * i) * (1.0 - g * g)
+            dg[..., 3 * hid:] = (dh * tc) * o * (1.0 - o)
+            for d, t in enumerate(times[s]):
+                dgates[d, :, t] = dg[d]
+            dh = dg @ whts
             dc = dc * f
-        if h0.requires_grad:
-            h0._accumulate(dh)
-        if c0.requires_grad:
-            c0._accumulate(dc)
-        dg2 = dgates.reshape(bsz * steps, 4 * hid)
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(dg2, b.shape))
-        if wh.requires_grad:
-            h_in = np.empty_like(hs)  # the state entering each step
-            if reverse:
-                h_in[:, :-1], h_in[:, -1] = hs[:, 1:], h0.data
-            else:
-                h_in[:, 1:], h_in[:, 0] = hs[:, :-1], h0.data
-            wh._accumulate(h_in.reshape(bsz * steps, hid).T @ dg2)
-        if x.requires_grad:
-            x._accumulate((dg2 @ wx.data.T).reshape(x.shape))
-        if wx.requires_grad:
-            wx._accumulate(x.data.reshape(bsz * steps, emb).T @ dg2)
+        for d in range(n_dir - 1, -1, -1):
+            wx, wh, b, reverse, _ = dirs[d]
+            if h0.requires_grad:
+                h0._accumulate(dh[d])
+            if c0.requires_grad:
+                c0._accumulate(dc[d])
+            dg2 = dgates[d].reshape(bsz * steps, 4 * hid)
+            if b.requires_grad:
+                b._accumulate(_unbroadcast(dg2, b.shape))
+            if wh.requires_grad:
+                hd = hs[:, :, d * hid:(d + 1) * hid]
+                h_in = np.empty((bsz, steps, hid))  # the state entering each step
+                if reverse:
+                    h_in[:, :-1], h_in[:, -1] = hd[:, 1:], h0.data
+                else:
+                    h_in[:, 1:], h_in[:, 0] = hd[:, :-1], h0.data
+                wh._accumulate(h_in.reshape(bsz * steps, hid).T @ dg2)
+            if x.requires_grad:
+                x._accumulate((dg2 @ wx.data.T).reshape(x.shape))
+            if wx.requires_grad:
+                wx._accumulate(x2.T @ dg2)
 
     _active_graph.nodes.append(OpRecord("lstm_seq", inputs, out, bw))
     return out

@@ -151,12 +151,12 @@ def _bilstm(fw: LSTMParams, bw: LSTMParams, x: Tensor, batch: SequenceBatch) -> 
     its row's length is never read (``_attn_pool`` gives it weight exactly
     0.0, as the -1e9 mask underflows ``exp``; ``plan_token_states`` cuts it
     off).  So the forward direction runs over padding unmasked; the backward
-    one meets padding first and keeps the zero state there."""
+    one meets padding first and keeps the zero state there.  Both run in
+    lockstep as one node."""
     zero = ad.zeros((batch.ids.shape[0], fw.hidden))
-    fw_states = ad.lstm_seq(x, zero, zero, fw.wx, fw.wh, fw.b)
-    bw_states = ad.lstm_seq(x, zero, zero, bw.wx, bw.wh, bw.b, mask=batch.mask,
-                            reverse=True)
-    return ad.concat([fw_states, bw_states], axis=2)
+    return ad.lstm_lockstep(x, zero, zero, [
+        ad.LSTMDirection(fw.wx, fw.wh, fw.b),
+        ad.LSTMDirection(bw.wx, bw.wh, bw.b, reverse=True, mask=batch.mask)])
 
 
 def _attn_pool(states: Tensor, batch: SequenceBatch, q: Tensor, w: Tensor) -> tuple[Tensor, Tensor]:

@@ -180,4 +180,15 @@ def primitive_grad_checks(seed: int = 3) -> dict[str, float]:
     results["scatter_cols"] = ad.grad_check(
         lambda: ad.sum_(ad.mul(ad.scatter_cols(ad.tanh(sw), scatter_ids, 6), scatter_mix)),
         [sw])
+
+    # both directions in lockstep over the same ragged rows, as the BiLSTM
+    # runs them; the shared h0 and c0 get gradients from both
+    bi = [ad.param(rand(shape)) for shape in ((3, 4, 3), (3, 2), (3, 2))]
+    cells = [[ad.param(rand(shape)) for shape in shapes[3:]] for _ in range(2)]
+    bi_mix = ad.const(rand((3, 4, 4)))
+    directions = [ad.LSTMDirection(*cells[0]),
+                  ad.LSTMDirection(*cells[1], reverse=True, mask=ragged)]
+    results["lstm_lockstep"] = ad.grad_check(
+        lambda: ad.sum_(ad.mul(ad.lstm_lockstep(*bi, directions), bi_mix)),
+        bi + cells[0] + cells[1])
     return results

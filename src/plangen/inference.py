@@ -44,8 +44,10 @@ class DecodeConfig:
     bin_policy: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.max_paragraphs < 1:
-            raise ad.ParameterError("max_paragraphs must be >= 1")
+        for name in ("max_paragraphs", "beam_size", "max_paragraph_len"):
+            value = getattr(self, name)
+            if not value >= 1:
+                raise ad.ParameterError(f"{name} must be >= 1, got {value}")
         if self.max_unigram_repeats is not None and self.max_unigram_repeats < 1:
             raise ad.ParameterError("max_unigram_repeats must be >= 1 or None")
 

@@ -322,6 +322,55 @@ def test_lstm_seq_shape_errors():
         ad.lstm_seq(x, h0, c0, wx, wh, b, mask=np.ones((3, 3)))
 
 
+def test_lstm_lockstep_is_one_node_and_checks_each_direction():
+    x, h0, c0, wx, wh, b = _lstm_seq_inputs(9)
+    directions = [ad.LSTMDirection(wx, wh, b),
+                  ad.LSTMDirection(wx, wh, b, reverse=True, mask=RAGGED_MASK)]
+    with ad.graph_scope() as g:
+        out = ad.lstm_lockstep(x, h0, c0, directions)
+        assert [rec.kind for rec in g.nodes] == ["lstm_seq"]
+    assert out.shape == (3, 4, 4)
+    with ad.no_grad():
+        assert np.array_equal(out.data[..., 2:],
+                              ad.lstm_seq(x, h0, c0, wx, wh, b, RAGGED_MASK, True).data)
+    with pytest.raises(ad.ShapeError, match=r"wh \(3, 8\)"):
+        ad.lstm_lockstep(x, h0, c0, [directions[0], ad.LSTMDirection(wx, wx, b)])
+    with pytest.raises(ad.ShapeError, match="mask"):
+        ad.lstm_lockstep(x, h0, c0, [directions[0],
+                                     ad.LSTMDirection(wx, wh, b, mask=np.ones((3, 3)))])
+
+
+def test_sigmoid_is_bitwise_the_two_branch_form():
+    # exp(min(x, 0)) / (exp(-|x|) + 1) against where(x >= 0, 1, e) / (1 + e)
+    rng = np.random.default_rng(17)
+    x = np.concatenate([
+        rng.normal(0.0, 3.0, 100_000), rng.normal(0.0, 300.0, 100_000),
+        rng.uniform(-1e-300, 1e-300, 1_000), rng.uniform(-1e-320, 1e-320, 1_000),
+        [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 709.8, -745.2, 1e308, -1e308]])
+    e = np.exp(-np.abs(x))
+    want = np.where(x >= 0, 1.0, e) / (1.0 + e)
+    assert ad.sigmoid(ad.const(x)).data.tobytes() == want.tobytes()
+    assert np.isnan(ad.sigmoid(ad.const([np.nan])).data).all()
+
+
+def test_take_rows_backward_is_bitwise_add_at():
+    # repeated ids, a negative id, -0.0 gradient entries and a 3-d table
+    rng = np.random.default_rng(23)
+    table = ad.param(rng.uniform(-1.0, 1.0, (5, 2, 3)))
+    ids = np.array([3, 0, 3, -1, 1, 3, 0, 1])
+    g = rng.uniform(-1.0, 1.0, (8, 2, 3))
+    g[[4, 7]] = -0.0  # row 1 gets only negative zeros
+    g[0, 1] = -0.0
+    with ad.graph_scope() as graph:
+        out = ad.take_rows(table, ids)
+    assert np.array_equal(out.data, table.data[ids])
+    graph.nodes[-1].backward_fn(g)
+    want = np.zeros_like(table.data)
+    np.add.at(want, ids, g)
+    assert table.grad_matrix().tobytes() == want.tobytes()
+    assert not np.signbit(table.grad_matrix()[1]).any()
+
+
 # ---------------------------------------------------------------------------
 # scatter_cols
 

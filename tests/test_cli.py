@@ -207,6 +207,20 @@ def test_config_file_value_of_wrong_type_is_data_error(tmp_path, workdir, capsys
     assert not (tmp_path / "m.ckpt").exists()
 
 
+@pytest.mark.parametrize("flag", ["--beam-size", "--max-paragraph-len"])
+def test_generate_rejects_zero_decode_sizes(trained_dir, capsys, flag):
+    # both used to exit 0 with empty documents, or 3 from an empty paragraph
+    data = trained_dir / "data"
+    out = trained_dir / "zero.jsonl"
+    rc = main(["generate", "--checkpoint", str(trained_dir / "model.ckpt"),
+               "--schema", str(data / "schema.json"),
+               "--corpus", str(data / "test.jsonl"), "--out", str(out), flag, "0"])
+    assert rc == cli.EXIT_NUMERIC
+    field = flag[2:].replace("-", "_")
+    assert f"{field} must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line, message", [
     ("clip_norm = -1", "clip_norm must be positive, got -1.0"),
     ("clip_norm = nan", "clip_norm must be positive, got nan"),

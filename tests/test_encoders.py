@@ -303,3 +303,62 @@ def test_lstm_seq_matches_per_step_cell_chain():
                     assert np.any(w != 0), (bsz, reverse, m is None, i)
                     gap = np.linalg.norm(a - w)
                     assert gap <= 1e-12 * np.linalg.norm(w), (bsz, reverse, m is None, i)
+
+
+def _bilstm_two_calls(x, h0, c0, fw, bw, mask):
+    """The BiLSTM as two recurrences and a concat (a forward ``lstm_seq``,
+    a reversed masked one), kept as the reference for the lockstep node."""
+    return ad.concat([ad.lstm_seq(x, h0, c0, *fw),
+                      ad.lstm_seq(x, h0, c0, *bw, mask=mask, reverse=True)], axis=2)
+
+
+@pytest.mark.parametrize("lengths, steps", [
+    ([5, 1, 3], 5), ([4], 4), ([2], 4), ([1, 1], 1),
+], ids=["ragged_with_length_1", "B1", "B1_padded", "T1"])
+@pytest.mark.parametrize("start", ["param", "zero"])
+def test_lockstep_bilstm_bitwise_matches_two_calls(lengths, steps, start):
+    # the states and every input gradient, h0 and c0 included when they are
+    # parameters, are array_equal to the two-call composition's
+    rng = np.random.default_rng(31)
+    bsz = len(lengths)
+    mask = (np.arange(steps) < np.array(lengths)[:, None]).astype(float)
+    x = ad.param(rng.uniform(-1.5, 1.5, (bsz, steps, 4)))
+    if start == "param":
+        h0, c0 = (ad.param(rng.uniform(-1.5, 1.5, (bsz, 3))) for _ in range(2))
+    else:
+        h0 = c0 = ad.zeros((bsz, 3))
+    fw, bw = ([ad.param(rng.uniform(-1.0, 1.0, s)) for s in ((4, 12), (3, 12), (1, 12))]
+              for _ in range(2))
+    mix = ad.const(rng.uniform(-1, 1, (bsz, steps, 6)))
+    x_mix = ad.const(rng.uniform(-1, 1, (bsz, steps, 4)))
+    inputs = [t for t in [x, h0, c0] + fw + bw if t.requires_grad]
+
+    def lockstep(x, h0, c0, fw, bw, mask):
+        return ad.lstm_lockstep(x, h0, c0, [ad.LSTMDirection(*fw),
+                                            ad.LSTMDirection(*bw, reverse=True, mask=mask)])
+
+    def run(bilstm):
+        with ad.graph_scope() as g:
+            for t in inputs:
+                t.zero_grad()
+            out = bilstm(x, h0, c0, fw, bw, mask)
+            # x's gradient starts from this later term, so the order in which
+            # the directions add theirs shows in the last bit
+            loss = ad.add(ad.sum_(ad.tanh(ad.mul(out, mix))), ad.sum_(ad.mul(x, x_mix)))
+            ad.backward(loss, g)
+        return [out.data] + [t.grad_matrix().copy() for t in inputs]
+
+    got, want = run(lockstep), run(_bilstm_two_calls)
+    assert len(got) == (10 if start == "param" else 8)
+    # one step from a zero state gives wh no gradient
+    zero_wh = {id(fw[1]), id(bw[1])} if steps == 1 and start == "zero" else set()
+    for i, (a, w, t) in enumerate(zip(got, want, [None] + inputs)):
+        assert np.any(w != 0) or id(t) in zero_wh, i
+        assert a.tobytes() == w.tobytes(), i
+
+
+def test_encoder_bilstm_is_one_node(enc):
+    with ad.graph_scope() as g:
+        encode_pool(enc, [[1, 2, 3], [4]])
+    kinds = [rec.kind for rec in g.nodes]
+    assert kinds.count("lstm_seq") == 1 and "concat" not in kinds

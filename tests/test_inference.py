@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plangen import synth
+from plangen.autodiff import ParameterError
 from plangen.corpus import DataError
 from plangen.inference import (
     DecodeConfig,
@@ -181,3 +182,6 @@ def test_decode_config_validation():
         DecodeConfig(max_paragraphs=0)
     with pytest.raises(Exception):
         DecodeConfig(max_unigram_repeats=0)
+    for name in ("beam_size", "max_paragraph_len"):
+        with pytest.raises(ParameterError, match=f"{name} must be >= 1, got 0"):
+            DecodeConfig(**{name: 0})
