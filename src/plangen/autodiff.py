@@ -126,17 +126,11 @@ class OpRecord:
 
 
 class Graph:
-    """Append-only tape of OpRecords, rebuilt for every forward pass."""
+    """Append-only tape of OpRecords, rebuilt per forward; one backward spends it."""
 
     def __init__(self):
         self.nodes: list[OpRecord] = []
-
-    def zero_grads(self) -> None:
-        """Clear gradients of every tensor recorded on this graph."""
-        for rec in self.nodes:
-            rec.out.zero_grad()
-            if rec.out2 is not None:
-                rec.out2.zero_grad()
+        self.spent = False
 
 
 _active_graph = Graph()
@@ -610,29 +604,28 @@ def lstm_lockstep(x: Tensor, h0: Tensor, c0: Tensor,
         xw[:, d] = xw_d.transpose(1, 0, 2)[order[d]]
     whs = np.array([d.wh.data for d in dirs])
     bs = np.array([d.b.data.reshape(1, 4 * hid) for d in dirs])
-    # per step: sigmoid row, g, c leaving, tanh(c), in one slot when not
-    # recording; and h leaving
+    # per step, in one slot when not recording: sigmoid(i, f, o) and tanh(g)
+    # in one row, and the c leaving (the backward recomputes tanh(c)); h leaving
     kept = steps if track else 1
-    sig_all = np.empty((kept, n_dir, bsz, 4 * hid))
-    i_all, f_all, o_all = sig_all[..., :hid], sig_all[..., hid:2 * hid], sig_all[..., 3 * hid:]
-    g_all, c_all, tc_all = (np.empty((kept, n_dir, bsz, hid)) for _ in range(3))
+    act_all = np.empty((kept, n_dir, bsz, 4 * hid))
+    i_all, f_all, g_all, o_all = (act_all[..., k * hid:(k + 1) * hid] for k in range(4))
+    c_all = np.empty((kept, n_dir, bsz, hid))
     h_all = np.empty((steps, n_dir, bsz, hid))
-    sig_tmp, fc = np.empty((n_dir, bsz, 4 * hid)), np.empty((n_dir, bsz, hid))
-    slots = zip(sig_all, i_all, f_all, o_all, g_all, c_all, tc_all)
+    sig_tmp, tmp = np.empty((n_dir, bsz, 4 * hid)), np.empty((n_dir, bsz, hid))
+    slots = zip(act_all, i_all, f_all, g_all, o_all, c_all)
     if not track:
         slots = itertools.repeat(next(slots))
     h, c = h0.data[None], c0.data[None]  # broadcast over the directions
-    for (sig, i, f, o, g, c2, tc), h2, xw_s, zero in zip(slots, h_all, xw, zeroed):
+    for (act, i, f, g, o, c2), h2, xw_s, zero in zip(slots, h_all, xw, zeroed):
         gates = h @ whs
         gates += xw_s
         gates += bs
-        _sigmoid(gates, out=sig, tmp=sig_tmp)
+        _sigmoid(gates, out=act, tmp=sig_tmp)
         np.tanh(gates[..., 2 * hid:3 * hid], out=g)
-        np.multiply(f, c, out=fc)
+        fc = np.multiply(f, c, out=tmp)
         c = np.multiply(i, g, out=c2)  # c2 may be c's slot: c is read above
         c += fc
-        np.tanh(c, out=tc)
-        h = np.multiply(o, tc, out=h2)
+        h = np.multiply(o, np.tanh(c, out=tmp), out=h2)
         for d, m in zero:
             h[d] *= m
             c[d] *= m
@@ -649,6 +642,7 @@ def lstm_lockstep(x: Tensor, h0: Tensor, c0: Tensor,
         dh = np.zeros((n_dir, bsz, hid))
         dc = np.zeros((n_dir, bsz, hid))
         whts = whs.transpose(0, 2, 1)
+        tc_all = np.tanh(c_all)
         for s in range(steps - 1, -1, -1):
             i, f, o, g, tc = i_all[s], f_all[s], o_all[s], g_all[s], tc_all[s]
             c_in = c_all[s - 1] if s else c0.data
@@ -751,17 +745,26 @@ def backward(root: Tensor, graph: Graph | None = None) -> None:
     """Reverse traversal seeding d(root)/d(root) = 1.
 
     Every leaf reachable from ``root`` with requires_grad gets its grad
-    populated; unreachable leaves keep zero grad.  Gradients accumulate, so
-    call zero_grad (or Graph.zero_grads) between repeated passes.
+    populated; unreachable leaves keep zero grad and grads accumulate.  The
+    walk drops each record (and the arrays it saved) and its outputs' grads
+    once the record has run, so the graph is spent: a second pass raises.
     """
     if root.data.size != 1:
         raise ShapeError(f"backward root must be scalar, got shape {root.shape}")
     g = graph if graph is not None else _active_graph
+    if g.spent:
+        raise RuntimeError("backward over a spent graph: record the forward in a new graph_scope")
+    g.spent = True
     root._accumulate(np.ones_like(root.data))
-    for rec in reversed(g.nodes):
-        if rec.out._grad is None and (rec.out2 is None or rec.out2._grad is None):
-            continue
-        rec.backward_fn(rec.out._grad)
+    nodes = g.nodes
+    while nodes:
+        rec = nodes.pop()
+        out, out2 = rec.out, rec.out2
+        if out._grad is not None or (out2 is not None and out2._grad is not None):
+            rec.backward_fn(out._grad)
+        out._grad = None
+        if out2 is not None:
+            out2._grad = None
 
 
 def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor],

@@ -77,10 +77,14 @@ def _parse_value(text: str, hint):
 
 
 def read_config_file(path) -> dict:
-    """`key = value` lines; '#' starts a comment."""
+    """`key = value` lines of UTF-8 text; '#' starts a comment."""
     out: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        for line_no, raw_line in enumerate(fh, start=1):
+            try:
+                line = raw_line.decode("utf-8")
+            except UnicodeDecodeError:
+                raise DataError(f"{path}: line {line_no}: not UTF-8 text") from None
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -165,6 +169,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
     games = read_corpus(args.corpus)
     if getattr(args, "profile", None) is None and "profile" in ckpt.config:
         args.profile = ckpt.config["profile"]
+        if not isinstance(args.profile, str) or args.profile not in PROFILES:
+            raise DataError(f"{args.checkpoint}: checkpoint field 'config.profile' "
+                            f"must be one of {sorted(PROFILES)}")
     cfg = _build_config(inference.DecodeConfig, args)
     cfg.bin_policy = ckpt.tuned_bins
     results, pools = [], []

@@ -75,9 +75,8 @@ class DecoderState:
     vocab_size: int
 
 
-def init_decoder(dec: DecoderParams, r_z: Tensor, bin_id: int, h_y_prev: Tensor,
-                 plan_token_states: Tensor, plan_token_ids: list[int],
-                 vocab_size: int) -> DecoderState:
+def init_decoder(dec: DecoderParams, r_z: Tensor, bin_id: int, plan_token_states: Tensor,
+                 plan_token_ids: list[int], vocab_size: int) -> DecoderState:
     """Start one paragraph: state from the plan encoding (1, 2H), bin
     pseudo-token prepended to the plan's (P, 2H) token states."""
     if plan_token_states.shape[0] != len(plan_token_ids):
@@ -218,8 +217,7 @@ def generate_paragraph(dec: DecoderParams, enc: EncoderParams, r_z: Tensor,
     if beam_size < 1:
         raise ParameterError(f"beam size must be >= 1, got {beam_size}")
     with ad.no_grad():
-        state = init_decoder(dec, r_z, bin_id, h_y_prev, plan_token_states,
-                             plan_token_ids, len(vocab))
+        state = init_decoder(dec, r_z, bin_id, plan_token_states, plan_token_ids, len(vocab))
         eos = vocab.eos_id
         live = [(0.0, (), 0)]
         finished: list[tuple[float, tuple[int, ...]]] = []

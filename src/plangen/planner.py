@@ -55,14 +55,13 @@ class PlanDistribution:
 
     probs: Tensor       # (rows, N)
     log_probs: Tensor   # (rows, N)
-    source: str         # "prior" | "posterior"
 
     def argmax(self) -> int:
         return int(np.argmax(self.probs.data[0]))
 
 
 def _distribution(w: Tensor, b: Tensor, attn_w: Tensor, h_z: Tensor, h_y: Tensor,
-                  pools: Tensor, source: str, mask=None) -> PlanDistribution:
+                  pools: Tensor, mask=None) -> PlanDistribution:
     """Padded pools (G, N, 2H) score query row r against pool r % G, and
     ``mask`` (G, N) adds -1e9 past each pool's end; one pool (N, 2H) is
     the case G = 1."""
@@ -79,15 +78,14 @@ def _distribution(w: Tensor, b: Tensor, attn_w: Tensor, h_z: Tensor, h_y: Tensor
     if mask is not None:
         scores = ad.add(scores, ad.const(np.tile(mask, (rows // games, 1))))
     return PlanDistribution(probs=ad.softmax(scores, axis=-1),
-                            log_probs=ad.log_softmax(scores, axis=-1),
-                            source=source)
+                            log_probs=ad.log_softmax(scores, axis=-1))
 
 
 def prior_plan_distribution(pp: PlannerParams, h_z_prev: Tensor, h_y_prev: Tensor,
                             pools: Tensor, mask=None) -> PlanDistribution:
     """Selection distribution conditioned on what was said and planned so far."""
     return _distribution(pp.ff_plan_w, pp.ff_plan_b, pp.attn_w,
-                         h_z_prev, h_y_prev, pools, "prior", mask)
+                         h_z_prev, h_y_prev, pools, mask)
 
 
 def posterior_plan_distribution(pp: PlannerParams, h_z_prev: Tensor, h_y_curr: Tensor,
@@ -95,7 +93,7 @@ def posterior_plan_distribution(pp: PlannerParams, h_z_prev: Tensor, h_y_curr: T
     """Inference distribution; reads the text state updated with the observed
     paragraph, and its own feed-forward layer, but shares everything else."""
     return _distribution(pp.ff_post_w, pp.ff_post_b, pp.attn_w,
-                         h_z_prev, h_y_curr, pools, "posterior", mask)
+                         h_z_prev, h_y_curr, pools, mask)
 
 
 def kl_divergence(q: PlanDistribution, p: PlanDistribution) -> Tensor:

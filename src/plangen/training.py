@@ -570,26 +570,45 @@ class Checkpoint:
     config: dict
 
 
+def _is_count(value, least: int = 1) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint; a manifest field of the wrong type or range, or a
+    blob that does not fit it, raises DataError naming the path and field."""
     with open(path, "rb") as fh:
         header = fh.readline()
         try:
             manifest = json.loads(header.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DataError(f"{path}: not a checkpoint file: {exc}") from exc
-        if manifest.get("magic") != CHECKPOINT_MAGIC:
+        if not isinstance(manifest, dict) or manifest.get("magic") != CHECKPOINT_MAGIC:
             raise DataError(f"{path}: missing checkpoint magic")
         blob = fh.read()
+
+    def expect(ok: bool, field: str, what: str) -> None:
+        if not ok:
+            raise DataError(f"{path}: checkpoint field {field!r} must be {what}")
+
     try:
         mc = manifest["model"]
-        cfg = ModelConfig(vocab_size=mc["vocab_size"], hidden=mc["hidden"],
-                          embed=mc["embed"], bins=mc["bins"])
-        model = ModelParams.create(np.random.default_rng(0), cfg)
-        named = model.named()
+        expect(isinstance(mc, dict), "model", "an object")
+        sizes = {k: mc[k] for k in ("vocab_size", "hidden", "embed", "bins")}
+        for k, v in sizes.items():
+            expect(_is_count(v), f"model.{k}", "a positive integer")
+        # the embedding, one recurrent weight and the bin table alone need this
+        # many floats, so sizes the blob cannot hold allocate nothing
+        expect(sizes["vocab_size"] * sizes["embed"] + 4 * sizes["hidden"] ** 2
+               + sizes["bins"] <= len(blob) // 8, "model", "sizes that fit the blob")
+        model = ModelParams.create(np.random.default_rng(0), ModelConfig(**sizes))
+        named, tensors = model.named(), manifest["tensors"]
+        expect(isinstance(tensors, dict), "tensors", "an object")
         offset = 0
         for k in sorted(named):
-            shape = tuple(manifest["tensors"][k])
-            n = int(np.prod(shape)) if shape else 1
+            shape = named[k].shape
+            expect(tensors[k] == list(shape), f"tensors.{k}", f"the model's shape {list(shape)}")
+            n = named[k].size
             if offset + n * 8 > len(blob):
                 raise DataError(f"{path}: checkpoint blob ends inside tensor {k!r}")
             arr = np.frombuffer(blob, dtype="<f8", count=n, offset=offset).reshape(shape)
@@ -598,16 +617,27 @@ def load_checkpoint(path) -> Checkpoint:
         if offset != len(blob):
             raise DataError(f"{path}: checkpoint blob size mismatch")
         tokens = manifest["vocab"]
+        expect(isinstance(tokens, list) and all(isinstance(t, str) for t in tokens),
+               "vocab", "a list of strings")
         vocab = Vocab(tokens[len(RESERVED):])
         if vocab.tokens() != tokens:
             raise DataError(f"{path}: reserved vocabulary prefix is malformed")
+        expect(len(vocab) == sizes["vocab_size"], "vocab", "model.vocab_size tokens long")
         if vocab.content_hash() != manifest["vocab_hash"]:
             raise DataError(f"{path}: vocabulary hash mismatch")
-        bins = BinAssignment(boundaries=list(manifest["bin_boundaries"]),
-                             bin_count=manifest["bin_count"])
-        return Checkpoint(model=model, vocab=vocab, bins=bins,
-                          tuned_bins=dict(manifest["tuned_bins"]),
-                          config=dict(manifest.get("config", {})))
+        boundaries, bin_count = manifest["bin_boundaries"], manifest["bin_count"]
+        expect(isinstance(boundaries, list) and all(_is_count(b, 0) for b in boundaries),
+               "bin_boundaries", "a list of non-negative integers")
+        expect(_is_count(bin_count), "bin_count", "a positive integer")
+        tuned = manifest["tuned_bins"]
+        expect(isinstance(tuned, dict) and all(_is_count(b, 0) and b < sizes["bins"]
+                                               for b in tuned.values()),
+               "tuned_bins", "an object of bin ids below model.bins")
+        config = manifest.get("config", {})
+        expect(isinstance(config, dict), "config", "an object")
+        return Checkpoint(model=model, vocab=vocab,
+                          bins=BinAssignment(boundaries=boundaries, bin_count=bin_count),
+                          tuned_bins=tuned, config=config)
     except KeyError as exc:
         raise DataError(f"{path}: checkpoint manifest lacks {exc}") from exc
 

@@ -106,7 +106,7 @@ def test_criterion_2_elbo_validity():
         worst_norm_gap = max(worst_norm_gap,
                              abs(float(pe.attn_weights.data.sum()) - 1.0))
         r_z, states = encode_plan(enc, toks)
-        st = init_decoder(dec, r_z, 0, ad.zeros((1, 8)), states, toks, 20)
+        st = init_decoder(dec, r_z, 0, states, toks, 20)
         probs, _ = decode_step(dec, enc, 1, st, ad.zeros((1, 8)))
         worst_norm_gap = max(worst_norm_gap, abs(float(probs.data.sum()) - 1.0))
     assert worst_norm_gap <= 1e-8
@@ -130,8 +130,7 @@ def test_criterion_3_gumbel_fidelity():
     for trial in range(200):
         rng = np.random.default_rng(trial)
         p = rng.dirichlet(np.ones(5))[None, :]
-        dist = PlanDistribution(probs=ad.const(p), log_probs=ad.const(np.log(p)),
-                                source="posterior")
+        dist = PlanDistribution(probs=ad.const(p), log_probs=ad.const(np.log(p)))
         idx_g, _ = sample_plan(dist, temperature=0.1, noise=np.zeros((1, 5)),
                                mode="gumbel")
         idx_greedy, _ = sample_plan(dist, mode="greedy")

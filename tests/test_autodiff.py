@@ -210,16 +210,24 @@ def test_backward_matches_finite_difference_tanh_chain():
     assert err < 1e-4
 
 
-def test_repeated_backward_after_zero_grad_is_deterministic():
-    x = ad.param([0.3, -0.7], shape=(1, 2))
+def _exp_square_grad(x):
     with ad.graph_scope() as g:
         loss = ad.sum_(ad.exp(ad.mul(x, x)))
         ad.backward(loss, g)
-        first = x.grad.copy()
-        g.zero_grads()
-        x.zero_grad()
+    return g, loss
+
+
+def test_second_backward_over_a_spent_graph_raises_and_a_rebuilt_one_repeats():
+    x = ad.param([0.3, -0.7], shape=(1, 2))
+    g, loss = _exp_square_grad(x)
+    assert g.nodes == []  # backward consumed the tape
+    first = x.grad.copy()
+    with pytest.raises(RuntimeError, match="spent"):
         ad.backward(loss, g)
-    assert np.array_equal(first, x.grad)
+    assert x.grad.tobytes() == first.tobytes()  # the failed call added nothing
+    x.zero_grad()
+    _exp_square_grad(x)
+    assert x.grad.tobytes() == first.tobytes()
 
 
 def test_graph_topological_order_invariant():
@@ -252,15 +260,14 @@ def test_lstm_cell_grad_check_with_one_output_consumed(output):
     assert err < 1e-6
 
 
-def test_lstm_cell_is_one_node_and_zero_grads_clears_both_outputs():
+def test_lstm_cell_is_one_node_and_backward_frees_both_output_grads():
     cell = _lstm_inputs(7)
     with ad.graph_scope() as g:
         h2, c2 = ad.lstm_cell(*cell)
         assert [rec.kind for rec in g.nodes] == ["lstm_cell"]
         ad.backward(ad.sum_(ad.mul(h2, c2)), g)
-        assert h2._grad is not None and c2._grad is not None
-        g.zero_grads()
     assert h2._grad is None and c2._grad is None
+    assert all(np.any(t.grad != 0) for t in cell)
 
 
 def test_lstm_cell_shape_error_names_shapes():

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plangen import cli
 from plangen.cli import main, read_config_file
@@ -344,3 +349,90 @@ def test_profiles_fix_documented_defaults():
 
 def test_grad_check_command_exits_zero():
     assert main(["grad-check", "--hidden", "3"]) == 0
+
+
+# ---------------------------------------------------------------------------
+# fuzzed readers: any checkpoint manifest or config file exits with a code
+
+
+DROP = object()  # remove the field instead of replacing it
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 2 ** 40) | st.floats() | st.text(max_size=6),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids,
+                                                              max_size=3),
+    max_leaves=6)
+MANIFEST_FIELDS = [(), ("magic",), ("model",), ("model", "vocab_size"), ("model", "hidden"),
+                   ("model", "embed"), ("model", "bins"), ("tensors",),
+                   ("tensors", "enc.emb"), ("vocab",), ("vocab_hash",), ("bin_boundaries",),
+                   ("bin_count",), ("tuned_bins",), ("config",), ("config", "profile")]
+CONFIG_TEXT = (b"seed = 1\nbeam_size = 2\nblock_plan_bigrams = false\n"
+               b"max_unigram_repeats = none  # or an int\nlearning_rate = 0.1\n")
+
+
+def _generate_exit(trained_dir, checkpoint, config=None):
+    """(exit code, stderr) of a small ``generate`` run; an exception that
+    escapes ``main`` fails the calling test."""
+    data = trained_dir / "data"
+    argv = ["generate", "--checkpoint", str(checkpoint), "--schema", str(data / "schema.json"),
+            "--corpus", str(data / "test.jsonl"), "--out", str(checkpoint) + ".jsonl",
+            "--beam-size", "1", "--max-paragraphs", "1", "--max-paragraph-len", "3"]
+    if config is not None:
+        argv += ["--config", str(config)]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(field=st.sampled_from(MANIFEST_FIELDS), value=st.just(DROP) | JSON_VALUES)
+def test_mutated_checkpoint_manifest_exits_with_a_code(trained_dir, field, value):
+    header, _, blob = (trained_dir / "model.ckpt").read_bytes().partition(b"\n")
+    manifest = json.loads(header)
+    if not field:
+        manifest = {} if value is DROP else value
+    else:
+        parent = manifest
+        for key in field[:-1]:
+            parent = parent[key]
+        if value is DROP:
+            parent.pop(field[-1], None)
+        else:
+            parent[field[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt = Path(tmp) / "m.ckpt"
+        ckpt.write_bytes(json.dumps(manifest).encode() + b"\n" + blob)
+        rc, err = _generate_exit(trained_dir, ckpt)
+    assert rc in (0, 2, 3, 4) and "Traceback" not in err
+    if rc == cli.EXIT_DATA:
+        assert str(ckpt) in err
+
+
+@settings(max_examples=40, deadline=None)
+@given(edits=st.lists(st.tuples(st.sampled_from(["flip", "cut", "insert"]),
+                                st.integers(0, len(CONFIG_TEXT)), st.binary(min_size=1,
+                                                                             max_size=3)),
+                      max_size=3))
+def test_mutated_config_bytes_exit_with_a_code(trained_dir, edits):
+    text = CONFIG_TEXT
+    for op, at, chunk in edits:
+        if op == "flip":
+            text = text[:at] + chunk[:1] + text[at + 1:]
+        elif op == "cut":
+            text = text[:at]
+        else:
+            text = text[:at] + chunk + text[at:]
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_bytes(text)
+        rc, err = _generate_exit(trained_dir, trained_dir / "model.ckpt", cfg)
+    assert rc in (0, 2, 3, 4) and "Traceback" not in err
+    if rc == cli.EXIT_DATA:
+        assert str(cfg) in err
+
+
+def test_non_utf8_config_line_is_data_error(tmp_path, trained_dir):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"seed = 1\n# caf\xe9\n")
+    rc, err = _generate_exit(trained_dir, trained_dir / "model.ckpt", cfg)
+    assert rc == cli.EXIT_DATA and f"{cfg}: line 2: not UTF-8 text" in err

@@ -43,9 +43,8 @@ def _plan(enc, tokens):
 def test_bin_conditioning_changes_attention_inputs(model, vocab):
     enc, dec = model
     r_z, states = _plan(enc, [7, 8, 9])
-    h_y = ad.zeros((1, TWO_H))
-    s0 = init_decoder(dec, r_z, 0, h_y, states, [7, 8, 9], len(vocab))
-    s1 = init_decoder(dec, r_z, 1, h_y, states, [7, 8, 9], len(vocab))
+    s0 = init_decoder(dec, r_z, 0, states, [7, 8, 9], len(vocab))
+    s1 = init_decoder(dec, r_z, 1, states, [7, 8, 9], len(vocab))
     assert not np.allclose(s0.attn_states.data[0, 0], s1.attn_states.data[0, 0])
     assert np.allclose(s0.attn_states.data[0, 1:], s1.attn_states.data[0, 1:])
 
@@ -55,26 +54,26 @@ def test_single_bin_reduces_to_unbinned_model(model, vocab):
     rng = np.random.default_rng(5)
     dec1 = DecoderParams.create(rng, len(vocab), HID, HID, bins=1)
     r_z, states = _plan(enc, [7, 8])
-    s = init_decoder(dec1, r_z, 0, ad.zeros((1, TWO_H)), states, [7, 8], len(vocab))
+    s = init_decoder(dec1, r_z, 0, states, [7, 8], len(vocab))
     assert s.attn_states.shape == (1, 3, TWO_H)
     with pytest.raises(ad.ParameterError):
-        init_decoder(dec1, r_z, 1, ad.zeros((1, TWO_H)), states, [7, 8], len(vocab))
+        init_decoder(dec1, r_z, 1, states, [7, 8], len(vocab))
 
 
 def test_init_decoder_rejects_empty_plan(model, vocab):
     enc, dec = model
     r_z, states = _plan(enc, [7])
     with pytest.raises(DataError):
-        init_decoder(dec, r_z, 0, ad.zeros((1, TWO_H)), states, [], len(vocab))
+        init_decoder(dec, r_z, 0, states, [], len(vocab))
     for bad in (-1, len(vocab)):  # checked once per paragraph, not per step
         with pytest.raises(DataError, match="outside the vocabulary"):
-            init_decoder(dec, r_z, 0, ad.zeros((1, TWO_H)), states, [bad], len(vocab))
+            init_decoder(dec, r_z, 0, states, [bad], len(vocab))
 
 
 def test_init_decoder_matches_primitive_recomposition(model, vocab):
     enc, dec = model
     r_z, states = _plan(enc, [7, 8, 9])
-    s = init_decoder(dec, r_z, 2, ad.zeros((1, TWO_H)), states, [7, 8, 9], len(vocab))
+    s = init_decoder(dec, r_z, 2, states, [7, 8, 9], len(vocab))
     expect = np.vstack([dec.bin_emb.data[2:3], states.data])
     assert np.allclose(s.attn_states.data[0], expect, atol=1e-12)
     assert np.allclose(s.h.data, r_z.data)
@@ -85,7 +84,7 @@ def test_decode_step_distribution_sums_to_one(model, vocab):
     enc, dec = model
     r_z, states = _plan(enc, [7, 8, 9])
     h_y = ad.const(np.random.default_rng(3).uniform(-1, 1, (1, TWO_H)))
-    state = init_decoder(dec, r_z, 0, h_y, states, [7, 8, 9], len(vocab))
+    state = init_decoder(dec, r_z, 0, states, [7, 8, 9], len(vocab))
     probs, state2 = decode_step(dec, enc, vocab.bos_id, state, h_y)
     assert probs.shape == (1, len(vocab))
     assert np.all(probs.data >= 0)
@@ -97,7 +96,7 @@ def test_gate_off_gives_pure_generation_softmax(model, vocab):
     enc, dec = model
     r_z, states = _plan(enc, [7, 8])
     h_y = ad.zeros((1, TWO_H))
-    state = init_decoder(dec, r_z, 0, h_y, states, [7, 8], len(vocab))
+    state = init_decoder(dec, r_z, 0, states, [7, 8], len(vocab))
     keep = dec.copy_b.data.copy()
     dec.copy_b.data[...] = -1e9  # force gate to 0
     try:
@@ -117,7 +116,7 @@ def test_gate_on_singleton_plan_puts_all_mass_on_its_token(model, vocab):
     seven = vocab.id("7")
     r_z, states = _plan(enc, [seven])
     h_y = ad.zeros((1, TWO_H))
-    state = init_decoder(dec, r_z, 0, h_y, states, [seven], len(vocab))
+    state = init_decoder(dec, r_z, 0, states, [seven], len(vocab))
     keep = dec.copy_b.data.copy()
     dec.copy_b.data[...] = 1e9  # force gate to 1
     try:
@@ -132,7 +131,7 @@ def test_copy_mass_only_on_plan_token_ids(model, vocab):
     plan_ids = [vocab.id("7"), vocab.id("w")]
     r_z, states = _plan(enc, plan_ids)
     h_y = ad.zeros((1, TWO_H))
-    state = init_decoder(dec, r_z, 0, h_y, states, plan_ids, len(vocab))
+    state = init_decoder(dec, r_z, 0, states, plan_ids, len(vocab))
     keep = dec.copy_b.data.copy()
     dec.copy_b.data[...] = 1e9
     try:
@@ -163,7 +162,7 @@ def test_gradient_flows_from_likelihood_to_plan_token_embeddings(model, vocab):
         enc.emb.zero_grad()
         r_z, states = _plan(enc, plan_ids)
         h_y = ad.zeros((1, TWO_H))
-        state = init_decoder(dec, r_z, 0, h_y, states, plan_ids, len(vocab))
+        state = init_decoder(dec, r_z, 0, states, plan_ids, len(vocab))
         probs, _ = decode_step(dec, enc, vocab.bos_id, state, h_y)
         loss = ad.neg(ad.log(ad.gather_last(probs, [vocab.id("7")])))
         ad.backward(loss, g)
@@ -178,7 +177,7 @@ def test_beam_one_equals_greedy_rollout(model, vocab):
     out, truncated = generate_paragraph(dec, enc, r_z, states, [7, 8, 9], 0, h_y,
                                         vocab, beam_size=1, max_len=8)
     # manual greedy chain
-    state = init_decoder(dec, r_z, 0, h_y, states, [7, 8, 9], len(vocab))
+    state = init_decoder(dec, r_z, 0, states, [7, 8, 9], len(vocab))
     prev, chain = vocab.bos_id, []
     for step in range(8):
         with ad.no_grad():
@@ -213,7 +212,7 @@ def test_beam_five_never_scores_below_beam_one(model, vocab):
     rng = np.random.default_rng(1234)
 
     def norm_score(tokens, r_z, states, ids, h_y):
-        state = init_decoder(dec, r_z, 0, h_y, states, ids, len(vocab))
+        state = init_decoder(dec, r_z, 0, states, ids, len(vocab))
         prev, logp = vocab.bos_id, 0.0
         for tok in list(tokens) + [vocab.eos_id]:
             with ad.no_grad():
@@ -294,7 +293,7 @@ def _per_hypothesis_beam(dec, enc, r_z, states, ids, bin_id, h_y, vocab, beam_si
     """The earlier beam search, kept as the reference: one decode_step per
     live hypothesis, each holding its own state, and no early stop."""
     with ad.no_grad():
-        live = [((), 0.0, init_decoder(dec, r_z, bin_id, h_y, states, ids, len(vocab)))]
+        live = [((), 0.0, init_decoder(dec, r_z, bin_id, states, ids, len(vocab)))]
         finished = []
         for step in range(max_len):
             candidates = []
@@ -345,7 +344,7 @@ def test_decode_step_rows_match_single_token_steps(model, vocab):
     enc, dec = model
     r_z, states = _plan(enc, [7, 8, 9])
     h_y = ad.const(np.random.default_rng(8).uniform(-1, 1, (1, TWO_H)))
-    state = init_decoder(dec, r_z, 0, h_y, states, [7, 8, 9], len(vocab))
+    state = init_decoder(dec, r_z, 0, states, [7, 8, 9], len(vocab))
     prev = [vocab.bos_id, 7, 11]
     rng = np.random.default_rng(9)
     rows = replace(state, h=ad.const(rng.uniform(-1, 1, (3, TWO_H))),

@@ -144,7 +144,7 @@ def test_immediate_eop_gives_empty_document(trained, monkeypatch):
         probs = np.full((1, n), 1e-6)
         probs[0, n - 1] = 1.0 - 1e-6 * (n - 1)
         return PlanDistribution(probs=ad.const(probs),
-                                log_probs=ad.const(np.log(probs)), source="prior")
+                                log_probs=ad.const(np.log(probs)))
 
     monkeypatch.setattr(inf, "prior_plan_distribution", eop_first_prior)
     out = generate_document(result.model, pg.pool, pg.ext_plan_tokens,

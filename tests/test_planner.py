@@ -123,14 +123,13 @@ def test_greedy_sampling(pp):
     from plangen.planner import PlanDistribution
 
     probs = np.array([[0.1, 0.7, 0.2]])
-    dist = PlanDistribution(probs=ad.const(probs), log_probs=ad.const(np.log(probs)),
-                            source="prior")
+    dist = PlanDistribution(probs=ad.const(probs), log_probs=ad.const(np.log(probs)))
     idx, relaxed = sample_plan(dist, mode="greedy")
     assert idx == 1
     assert np.array_equal(relaxed.data, [[0.0, 1.0, 0.0]])
     # argmax invariance under strictly monotone rescaling
     dist2 = PlanDistribution(probs=ad.const(probs ** 3 / (probs ** 3).sum()),
-                             log_probs=ad.const(np.log(probs)), source="prior")
+                             log_probs=ad.const(np.log(probs)))
     assert sample_plan(dist2, mode="greedy")[0] == 1
 
 
@@ -138,8 +137,7 @@ def test_gumbel_zero_noise_matches_greedy(pp):
     from plangen.planner import PlanDistribution
 
     probs = np.array([[0.15, 0.6, 0.25]])
-    dist = PlanDistribution(probs=ad.const(probs), log_probs=ad.const(np.log(probs)),
-                            source="posterior")
+    dist = PlanDistribution(probs=ad.const(probs), log_probs=ad.const(np.log(probs)))
     idx, relaxed = sample_plan(dist, temperature=0.1, noise=np.zeros((1, 3)),
                                mode="gumbel")
     assert idx == sample_plan(dist, mode="greedy")[0]

@@ -3,6 +3,7 @@ AdaGrad arithmetic, smoke training, checkpoint determinism."""
 
 from __future__ import annotations
 
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -257,7 +258,7 @@ def per_token_loss(model, pg, cfg, k, rng, vocab):
         # one game: row t of walk.h_y is the text state before paragraph t
         plan, h_y_prev = walk.chosen[0][t], ad.narrow(walk.h_y, 0, t, 1)
         state = init_decoder(model.decoder, walk.pool_enc.plan_vector(plan), pg.bin_ids[t],
-                             h_y_prev, walk.pool_enc.plan_token_states(plan),
+                             walk.pool_enc.plan_token_states(plan),
                              pg.ext_plan_tokens[plan], model.config.vocab_size)
         prev = vocab.bos_id
         for target in tokens + [vocab.eos_id]:
@@ -315,6 +316,33 @@ def test_toy_update_tape_node_budget():
         kinds.append(Counter(rec.kind for rec in g.nodes))
     worst = max(kinds, key=lambda c: c.total())
     assert worst.total() < 200, dict(worst.most_common())
+
+
+def test_toy_update_backward_frees_the_tape_as_it_walks_it():
+    # a backward that kept every record's saved arrays and every
+    # intermediate gradient until the graph was dropped peaked at 1.8x
+    games, schema = synth.generate_toy_corpus(seed=0, n_games=4)
+    vocab = build_vocab(games, schema, 1)
+    bins = assign_length_bins([len(p) for g in games for p in g.document.paragraphs], 4)
+    model = ModelParams.create(np.random.default_rng(0), ModelConfig(len(vocab), 32, 32, 4))
+    prepared = [prepare_game(game, schema, vocab, bins) for game in games]
+    model.zero_grad()
+    tracemalloc.start()
+    try:
+        with ad.graph_scope() as g:
+            losses = compute_loss(model, prepared, TrainConfig(), 250,
+                                  np.random.default_rng(0), vocab)
+            total = losses[0].total_tensor
+            for lb in losses[1:]:
+                total = ad.add(total, lb.total_tensor)
+            after_forward = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            ad.backward(total, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * after_forward, (peak, after_forward)
+    assert g.nodes == []
 
 
 def _ragged_update():
