@@ -482,6 +482,21 @@ def scatter_cols(weights: Tensor, ids, size: int) -> Tensor:
     return _make("scatter_cols", (weights,), data, bw)
 
 
+def _lstm_gate_grads(dh, dc, i, f, g, o, tc, c_in, dgates) -> np.ndarray:
+    """One LSTM step's backward: the gate gradients into ``dgates`` from
+    those reaching h' and c' (``dh``, ``dc``; None for none, and then the
+    output-gate columns are left alone); returns the entering c's."""
+    hid = i.shape[-1]
+    if dh is not None:
+        term = (dh * o) * (1.0 - tc * tc)
+        dc = term if dc is None else dc + term
+        dgates[..., 3 * hid:] = (dh * tc) * o * (1.0 - o)
+    dgates[..., :hid] = (dc * g) * i * (1.0 - i)
+    dgates[..., hid:2 * hid] = (dc * c_in) * f * (1.0 - f)
+    dgates[..., 2 * hid:3 * hid] = (dc * i) * (1.0 - g * g)
+    return dc * f
+
+
 def lstm_cell(x: Tensor, h: Tensor, c: Tensor, wx: Tensor, wh: Tensor,
               b: Tensor) -> tuple[Tensor, Tensor]:
     """One LSTM step as one tape node with two outputs, (h', c').
@@ -512,17 +527,10 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor, wx: Tensor, wh: Tensor,
         return h_out, c_out
 
     def bw(dh):
-        dc2 = c_out._grad
         dgates = np.zeros_like(gates)
-        if dh is not None:
-            term = (dh * o) * (1.0 - tc * tc)
-            dc2 = term if dc2 is None else dc2 + term
-            dgates[:, 3 * hid:] = (dh * tc) * o * (1.0 - o)
+        dc = _lstm_gate_grads(dh, c_out._grad, i, f, g, o, tc, c.data, dgates)
         if c.requires_grad:
-            c._accumulate(_unbroadcast(dc2 * f, c.shape))
-        dgates[:, :hid] = (dc2 * g) * i * (1.0 - i)
-        dgates[:, hid:2 * hid] = (dc2 * c.data) * f * (1.0 - f)
-        dgates[:, 2 * hid:3 * hid] = (dc2 * i) * (1.0 - g * g)
+            c._accumulate(_unbroadcast(dc, c.shape))
         if b.requires_grad:
             b._accumulate(_unbroadcast(dgates, b.shape))
         for inp, w in ((h, wh), (x, wx)):
@@ -536,41 +544,35 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor, wx: Tensor, wh: Tensor,
 
 
 class LSTMDirection(NamedTuple):
-    """One direction of :func:`lstm_lockstep`: its cell weights, whether it
-    runs t = T-1 .. 0, and an optional (B, T) 0/1 mask that zeroes its h
-    and c on rows where it is 0 (only at steps where some row is)."""
+    """One direction of :func:`lstm_lockstep`: its cell weights and whether
+    it runs each row from its last token back."""
 
     wx: Tensor
     wh: Tensor
     b: Tensor
     reverse: bool = False
-    mask: np.ndarray | None = None
 
 
-def lstm_seq(x: Tensor, h0: Tensor, c0: Tensor, wx: Tensor, wh: Tensor, b: Tensor,
-             mask=None, reverse: bool = False) -> Tensor:
-    """A whole LSTM recurrence over (B, T, E) inputs as one tape node;
-    returns the (B, T, H) hidden states in input order.  The one-direction
-    case of :func:`lstm_lockstep`; a reversed, masked padded row starts
-    from a zero state at its own last token."""
-    return lstm_lockstep(x, h0, c0, [LSTMDirection(wx, wh, b, reverse, mask)])
-
-
-def lstm_lockstep(x: Tensor, h0: Tensor, c0: Tensor,
-                  directions: Sequence[LSTMDirection]) -> Tensor:
+def lstm_lockstep(x: Tensor, h0: Tensor, c0: Tensor, directions: Sequence[LSTMDirection],
+                  lengths: Sequence[int] | None = None) -> Tensor:
     """D independent LSTM recurrences over the same (B, T, E) input as one
     ``lstm_seq`` tape node; returns (B, T, D*H), direction d's states in
     columns d*H:(d+1)*H.  Every direction starts from (h0, c0).
 
+    ``lengths`` (T for every row by default) counts each row's tokens.  A
+    reversed direction runs row b's time lengths[b]-1-s at step s and then
+    its padding in order, so a padded row gets the states it would alone.
+
     Each step is :func:`lstm_cell`'s arithmetic on a (D, B, .) stack, each
-    direction at its own time: one stacked matmul against the (D, H, 4H)
+    direction at its own times: one stacked matmul against the (D, H, 4H)
     recurrent weights and one set of elementwise ops.  x @ wx is one GEMM
     per direction over all steps.  The backward runs the stacked recurrence
-    for the gate gradients only, then forms each direction's x, wx and wh
-    gradients with one GEMM each and b's with one sum (the fused-RNN layout
-    of Appleyard et al. 2016, arXiv 1604.01946).  Directions accumulate
-    into the shared x, h0 and c0 last one first, so the result is bitwise
-    that of D one-direction nodes recorded in order.
+    for the gate gradients only, puts them back in their (row, time) slots,
+    then forms each direction's x, wx and wh gradients with one GEMM each
+    and b's with one sum (the fused-RNN layout of Appleyard et al. 2016,
+    arXiv 1604.01946).  Directions accumulate into the shared x, h0 and c0
+    last one first, so the result is bitwise that of D one-direction nodes
+    recorded in order.
     """
     dirs = list(directions)
     n_dir, hid = len(dirs), dirs[0].wh.shape[0]
@@ -579,29 +581,26 @@ def lstm_lockstep(x: Tensor, h0: Tensor, c0: Tensor,
             or any(d.wx.shape != (x.shape[2], 4 * hid) or d.wh.shape != (hid, 4 * hid)
                    or d.b.shape[-1] != 4 * hid for d in dirs)):
         weights = ", ".join(f"wx {d.wx.shape}, wh {d.wh.shape}, b {d.b.shape}" for d in dirs)
-        raise ShapeError(f"lstm_seq: x {x.shape}, h0 {h0.shape}, c0 {c0.shape} do not fit "
-                         f"{weights}")
+        raise ShapeError(f"lstm_lockstep: x {x.shape}, h0 {h0.shape}, c0 {c0.shape} do not "
+                         f"fit {weights}")
     bsz, steps, emb = x.shape
-    # step s of direction d runs at time s, or T-1-s when it is reversed
-    order = [slice(None, None, -1 if d.reverse else 1) for d in dirs]
-    times = list(zip(*[range(steps)[o] for o in order]))  # per step, each direction's time
-    zeroed = [[] for _ in range(steps)]  # per step: (direction, (B, 1) mask) where it zeroes a row
-    for d, direction in enumerate(dirs):
-        if direction.mask is not None:
-            mask = np.asarray(direction.mask, dtype=np.float64)
-            if mask.shape != (bsz, steps):
-                raise ShapeError(f"lstm_seq: mask {mask.shape} does not fit x {x.shape}")
-            padded = (mask != 1.0).any(axis=0).tolist()
-            for s, ts in enumerate(times):
-                if padded[ts[d]]:
-                    zeroed[s].append((d, mask[:, ts[d], None]))
+    lens = steps if lengths is None else np.asarray(lengths)
+    if lengths is not None and (lens.shape != (bsz,) or lens.dtype.kind not in "iu"
+                                or min(lengths) < 1 or max(lengths) > steps):
+        raise ShapeError(f"lstm_lockstep: lengths {lengths} do not fit x {x.shape}")
+    # flat slot b*T + t of a batch-major (B*T)-row matrix holds row b at
+    # time t; back[s] holds a reversed direction's slots at step s
+    s_col = np.arange(steps)[:, None]
+    back = (np.where(s_col < lens, lens - 1 - s_col, s_col) + np.arange(0, bsz * steps, steps)
+            if any(d.reverse for d in dirs) else None)
     inputs = (x, h0, c0, *[t for d in dirs for t in d[:3]])
     track = _grad_enabled and any([t.requires_grad for t in inputs])
     x2 = x.data.reshape(bsz * steps, emb)
     xw = np.empty((steps, n_dir, bsz, 4 * hid))  # row s: each direction's step s
     for d, direction in enumerate(dirs):
-        xw_d = (x2 @ direction.wx.data).reshape(bsz, steps, 4 * hid)
-        xw[:, d] = xw_d.transpose(1, 0, 2)[order[d]]
+        xw_d = x2 @ direction.wx.data
+        xw[:, d] = (xw_d[back] if direction.reverse
+                    else xw_d.reshape(bsz, steps, 4 * hid).transpose(1, 0, 2))
     whs = np.array([d.wh.data for d in dirs])
     bs = np.array([d.b.data.reshape(1, 4 * hid) for d in dirs])
     # per step, in one slot when not recording: sigmoid(i, f, o) and tanh(g)
@@ -616,7 +615,7 @@ def lstm_lockstep(x: Tensor, h0: Tensor, c0: Tensor,
     if not track:
         slots = itertools.repeat(next(slots))
     h, c = h0.data[None], c0.data[None]  # broadcast over the directions
-    for (act, i, f, g, o, c2), h2, xw_s, zero in zip(slots, h_all, xw, zeroed):
+    for (act, i, f, g, o, c2), h2, xw_s in zip(slots, h_all, xw):
         gates = h @ whs
         gates += xw_s
         gates += bs
@@ -626,57 +625,52 @@ def lstm_lockstep(x: Tensor, h0: Tensor, c0: Tensor,
         c = np.multiply(i, g, out=c2)  # c2 may be c's slot: c is read above
         c += fc
         h = np.multiply(o, np.tanh(c, out=tmp), out=h2)
-        for d, m in zero:
-            h[d] *= m
-            c[d] *= m
     hs = np.empty((bsz, steps, n_dir * hid))
-    for d in range(n_dir):
-        hs[:, :, d * hid:(d + 1) * hid] = h_all[order[d], d].transpose(1, 0, 2)
+    for d, direction in enumerate(dirs):
+        cols = slice(d * hid, (d + 1) * hid)
+        if direction.reverse:
+            hs.reshape(bsz * steps, n_dir * hid)[back, cols] = h_all[:, d]
+        else:
+            hs[:, :, cols] = h_all[:, d].transpose(1, 0, 2)
     out = Tensor(hs, requires_grad=track)
     if not track:
         return out
 
     def bw(gout):
-        dgates = np.empty((n_dir, bsz, steps, 4 * hid))  # batch-major, as the GEMMs read it
+        # each direction's slots at step s: every T-th row from s, or back[s]
+        at = [back if d.reverse else [slice(s, None, steps) for s in range(steps)]
+              for d in dirs]
+        gout, hs2 = gout.reshape(bsz * steps, -1), hs.reshape(bsz * steps, -1)
+        dgates = np.empty((n_dir, bsz * steps, 4 * hid))  # batch-major, as the GEMMs read it
         dg = np.empty((n_dir, bsz, 4 * hid))
         dh = np.zeros((n_dir, bsz, hid))
         dc = np.zeros((n_dir, bsz, hid))
         whts = whs.transpose(0, 2, 1)
         tc_all = np.tanh(c_all)
         for s in range(steps - 1, -1, -1):
-            i, f, o, g, tc = i_all[s], f_all[s], o_all[s], g_all[s], tc_all[s]
+            for d in range(n_dir):
+                dh[d] += gout[at[d][s], d * hid:(d + 1) * hid]
             c_in = c_all[s - 1] if s else c0.data
-            for d, t in enumerate(times[s]):
-                dh[d] += gout[:, t, d * hid:(d + 1) * hid]
-            for d, m in zeroed[s]:
-                dh[d] *= m
-                dc[d] *= m
-            dc = dc + (dh * o) * (1.0 - tc * tc)
-            dg[..., :hid] = (dc * g) * i * (1.0 - i)
-            dg[..., hid:2 * hid] = (dc * c_in) * f * (1.0 - f)
-            dg[..., 2 * hid:3 * hid] = (dc * i) * (1.0 - g * g)
-            dg[..., 3 * hid:] = (dh * tc) * o * (1.0 - o)
-            for d, t in enumerate(times[s]):
-                dgates[d, :, t] = dg[d]
+            dc = _lstm_gate_grads(dh, dc, i_all[s], f_all[s], g_all[s], o_all[s],
+                                  tc_all[s], c_in, dg)
+            for d in range(n_dir):
+                dgates[d, at[d][s]] = dg[d]
             dh = dg @ whts
-            dc = dc * f
         for d in range(n_dir - 1, -1, -1):
-            wx, wh, b, reverse, _ = dirs[d]
+            wx, wh, b, _ = dirs[d]
             if h0.requires_grad:
                 h0._accumulate(dh[d])
             if c0.requires_grad:
                 c0._accumulate(dc[d])
-            dg2 = dgates[d].reshape(bsz * steps, 4 * hid)
+            dg2 = dgates[d]
             if b.requires_grad:
                 b._accumulate(_unbroadcast(dg2, b.shape))
-            if wh.requires_grad:
-                hd = hs[:, :, d * hid:(d + 1) * hid]
-                h_in = np.empty((bsz, steps, hid))  # the state entering each step
-                if reverse:
-                    h_in[:, :-1], h_in[:, -1] = hd[:, 1:], h0.data
-                else:
-                    h_in[:, 1:], h_in[:, 0] = hd[:, :-1], h0.data
-                wh._accumulate(h_in.reshape(bsz * steps, hid).T @ dg2)
+            if wh.requires_grad:  # the state entering each step, from the states leaving
+                hd, h_in = hs2[:, d * hid:(d + 1) * hid], np.empty((bsz * steps, hid))
+                h_in[at[d][0]] = h0.data
+                for s in range(1, steps):
+                    h_in[at[d][s]] = hd[at[d][s - 1]]
+                wh._accumulate(h_in.T @ dg2)
             if x.requires_grad:
                 x._accumulate((dg2 @ wx.data.T).reshape(x.shape))
             if wx.requires_grad:

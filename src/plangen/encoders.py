@@ -3,10 +3,10 @@
 A paragraph (or candidate plan) is embedded, run through a BiLSTM, and
 pooled with self-attention against a trainable query; the pooled vector
 feeds LSTM_text (over generated/observed paragraphs) or LSTM_plan (over
-selected plans).  A padded batch encodes each row as it would
-alone (see ``_bilstm``).  Attention scores are bilinear (q^T W k),
-keeping query and key spaces decoupled.  All weights start uniform in
-[-0.1, 0.1] with forget-gate biases at 1.
+selected plans).  A padded batch encodes each row as it would alone,
+from any start state (see ``_bilstm``).  Attention scores are bilinear
+(q^T W k), keeping query and key spaces decoupled.  All weights start
+uniform in [-0.1, 0.1] with forget-gate biases at 1.
 """
 
 from __future__ import annotations
@@ -105,21 +105,21 @@ class EncoderParams:
 
 @dataclass
 class SequenceBatch:
-    """Padded id matrix plus masks for a batch of token sequences."""
+    """Id matrix padded with ``<PAD>`` (id 0) plus masks for token sequences."""
 
     ids: np.ndarray          # (B, L) int
     mask: np.ndarray         # (B, L) float, 1 where valid
     lengths: list[int]
 
     @classmethod
-    def from_sequences(cls, seqs: list[list[int]], pad_id: int = 0) -> "SequenceBatch":
+    def from_sequences(cls, seqs: list[list[int]]) -> "SequenceBatch":
         if not seqs:
             raise DataError("cannot batch zero sequences")
         if any(len(s) == 0 for s in seqs):
             raise DataError("cannot encode an empty token sequence")
         lengths = [len(s) for s in seqs]
         max_len = max(lengths)
-        ids = np.full((len(seqs), max_len), pad_id, dtype=np.intp)
+        ids = np.zeros((len(seqs), max_len), dtype=np.intp)
         mask = np.zeros((len(seqs), max_len), dtype=np.float64)
         for i, s in enumerate(seqs):
             ids[i, :len(s)] = s
@@ -147,16 +147,16 @@ class PoolEncoding:
 
 
 def _bilstm(fw: LSTMParams, bw: LSTMParams, x: Tensor, batch: SequenceBatch) -> Tensor:
-    """(B, L, E) inputs -> (B, L, 2H) states.  Relies on this: a state past
-    its row's length is never read (``_attn_pool`` gives it weight exactly
-    0.0, as the -1e9 mask underflows ``exp``; ``plan_token_states`` cuts it
-    off).  So the forward direction runs over padding unmasked; the backward
-    one meets padding first and keeps the zero state there.  Both run in
-    lockstep as one node."""
+    """(B, L, E) inputs -> (B, L, 2H) states, both directions in lockstep as
+    one node.  The backward direction starts at each row's own last token,
+    so a row's states are those it would get alone.  Both directions then
+    run on over the padding; a state past its row's length is never read
+    (``_attn_pool`` gives it weight exactly 0.0, as the -1e9 mask underflows
+    ``exp``; ``plan_token_states`` cuts it off)."""
     zero = ad.zeros((batch.ids.shape[0], fw.hidden))
     return ad.lstm_lockstep(x, zero, zero, [
         ad.LSTMDirection(fw.wx, fw.wh, fw.b),
-        ad.LSTMDirection(bw.wx, bw.wh, bw.b, reverse=True, mask=batch.mask)])
+        ad.LSTMDirection(bw.wx, bw.wh, bw.b, reverse=True)], batch.lengths)
 
 
 def _attn_pool(states: Tensor, batch: SequenceBatch, q: Tensor, w: Tensor) -> tuple[Tensor, Tensor]:

@@ -201,7 +201,7 @@ def _cannot_overtake(finished: list[tuple[float, tuple[int, ...]]],
 def generate_paragraph(dec: DecoderParams, enc: EncoderParams, r_z: Tensor,
                        plan_token_states: Tensor, plan_token_ids: list[int],
                        bin_id: int, h_y_prev: Tensor, vocab: Vocab,
-                       beam_size: int = 5, max_len: int = 30) -> tuple[list[int], bool]:
+                       beam_size: int, max_len: int) -> tuple[list[int], bool]:
     """Beam-search a paragraph; returns (token ids, truncated flag).
 
     Hypotheses are ranked by log-probability divided by step count (the

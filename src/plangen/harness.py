@@ -164,13 +164,14 @@ def primitive_grad_checks(seed: int = 3) -> dict[str, float]:
 
     results["lstm_cell"] = ad.grad_check(lstm_loss, cell)
 
-    # batch 3 over 4 steps, reversed, ragged rows; h0 and c0 get gradients too
+    # one reversed direction, batch 3 over 4 steps, ragged rows; h0 and c0 get gradients too
     shapes = ((3, 4, 3), (3, 2), (3, 2), (3, 8), (2, 8), (1, 8))  # x, h0, c0, wx, wh, b
     seq = [ad.param(rand(shape)) for shape in shapes]
-    ragged = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [1, 1, 1, 0]], dtype=np.float64)
+    ragged = [4, 2, 3]
     seq_mix = ad.const(rand((3, 4, 2)))
+    reversed_seq = [ad.LSTMDirection(*seq[3:], reverse=True)]
     results["lstm_seq"] = ad.grad_check(
-        lambda: ad.sum_(ad.mul(ad.lstm_seq(*seq, mask=ragged, reverse=True), seq_mix)),
+        lambda: ad.sum_(ad.mul(ad.lstm_lockstep(*seq[:3], reversed_seq, ragged), seq_mix)),
         seq)
 
     # one plan of 4 ids over 6 columns, shared by 2 x 3 rows; it repeats id 2
@@ -186,9 +187,8 @@ def primitive_grad_checks(seed: int = 3) -> dict[str, float]:
     bi = [ad.param(rand(shape)) for shape in ((3, 4, 3), (3, 2), (3, 2))]
     cells = [[ad.param(rand(shape)) for shape in shapes[3:]] for _ in range(2)]
     bi_mix = ad.const(rand((3, 4, 4)))
-    directions = [ad.LSTMDirection(*cells[0]),
-                  ad.LSTMDirection(*cells[1], reverse=True, mask=ragged)]
+    directions = [ad.LSTMDirection(*cells[0]), ad.LSTMDirection(*cells[1], reverse=True)]
     results["lstm_lockstep"] = ad.grad_check(
-        lambda: ad.sum_(ad.mul(ad.lstm_lockstep(*bi, directions), bi_mix)),
+        lambda: ad.sum_(ad.mul(ad.lstm_lockstep(*bi, directions, ragged), bi_mix)),
         bi + cells[0] + cells[1])
     return results

@@ -77,9 +77,9 @@ CHECKPOINT_VERSION = 1
 @dataclass
 class ModelConfig:
     vocab_size: int
-    hidden: int = 32
-    embed: int = 32
-    bins: int = 4
+    hidden: int
+    embed: int
+    bins: int
 
 
 @dataclass
@@ -365,7 +365,8 @@ def _reconstruction(model: ModelParams, games: list[PreparedGame], walk: PlanWal
     x = decoder_inputs(enc, prev.ids, walk.h_y, context_rows)
     r_z = ad.take_rows(walk.pool_enc.pooled, plans)
     lstm = dec.lstm_gen
-    h = ad.lstm_seq(x, r_z, ad.zeros(r_z.shape), lstm.wx, lstm.wh, lstm.b)
+    h = ad.lstm_lockstep(x, r_z, ad.zeros(r_z.shape),
+                         [ad.LSTMDirection(lstm.wx, lstm.wh, lstm.b)])
     state = init_paragraph_decoders(
         dec, r_z, [games[g].bin_ids[t] for g, t in paras],
         ad.take_rows(walk.pool_enc.token_states, plans),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -279,7 +281,7 @@ def test_lstm_cell_shape_error_names_shapes():
 # ---------------------------------------------------------------------------
 # whole-recurrence lstm (one node)
 
-RAGGED_MASK = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [1, 1, 1, 0]], dtype=float)
+RAGGED = [4, 2, 3]
 
 
 def _lstm_seq_inputs(seed):
@@ -289,27 +291,33 @@ def _lstm_seq_inputs(seed):
     return [ad.param(rng.uniform(-2.0, 2.0, size=s)) for s in shapes]
 
 
+def _one_direction(x, h0, c0, wx, wh, b, lengths=None, reverse=False):
+    return ad.lstm_lockstep(x, h0, c0, [ad.LSTMDirection(wx, wh, b, reverse)], lengths)
+
+
 @pytest.mark.parametrize("masked", [False, True], ids=["no_mask", "mask"])
 @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
 def test_lstm_seq_grad_check(reverse, masked):
+    # "mask": ragged row lengths, which a forward direction runs past
     inputs = _lstm_seq_inputs(5)
     mix = ad.const(np.random.default_rng(6).uniform(-1.0, 1.0, (3, 4, 2)))
-    mask = RAGGED_MASK if masked else None
+    lengths = RAGGED if masked else None
     err = ad.grad_check(lambda: ad.sum_(ad.mul(
-        ad.lstm_seq(*inputs, mask=mask, reverse=reverse), mix)), inputs)
+        _one_direction(*inputs, lengths, reverse), mix)), inputs)
     assert err < 1e-6
 
 
 def test_lstm_seq_is_one_node_and_no_grad_gives_the_same_states():
     inputs = _lstm_seq_inputs(7)
     with ad.graph_scope() as g:
-        out = ad.lstm_seq(*inputs, mask=RAGGED_MASK, reverse=True)
+        out = _one_direction(*inputs, RAGGED, reverse=True)
         assert [rec.kind for rec in g.nodes] == ["lstm_seq"]
     with ad.no_grad(), ad.graph_scope() as g:
-        plain = ad.lstm_seq(*inputs, mask=RAGGED_MASK, reverse=True)
+        plain = _one_direction(*inputs, RAGGED, reverse=True)
         assert g.nodes == [] and not plain.requires_grad
     assert np.array_equal(out.data, plain.data)
-    assert np.all(out.data[1, 2:] == 0.0) and np.all(out.data[2, 3] == 0.0)
+    # the padding runs after the row's own tokens, so its states are not zero
+    assert np.all(out.data[1, 2:] != 0.0) and np.all(out.data[2, 3] != 0.0)
 
 
 def test_lstm_seq_shape_errors():
@@ -322,29 +330,51 @@ def test_lstm_seq_shape_errors():
         "c0 width": (x, h0, ad.param(np.ones((3, 3))), wx, wh, b),
     }
     for name, args in bad.items():
-        with pytest.raises(ad.ShapeError, match="lstm_seq"):
-            ad.lstm_seq(*args)
+        with pytest.raises(ad.ShapeError, match="lstm_lockstep"):
+            _one_direction(*args)
             pytest.fail(name)
-    with pytest.raises(ad.ShapeError, match="mask"):
-        ad.lstm_seq(x, h0, c0, wx, wh, b, mask=np.ones((3, 3)))
+    for lengths in ([4, 2], [4, 2, 3, 1], [4, 0, 3], [4, 5, 3], [4, 2.5, 3]):
+        with pytest.raises(ad.ShapeError, match="lengths"):
+            _one_direction(x, h0, c0, wx, wh, b, lengths, reverse=True)
+            pytest.fail(str(lengths))
 
 
 def test_lstm_lockstep_is_one_node_and_checks_each_direction():
     x, h0, c0, wx, wh, b = _lstm_seq_inputs(9)
-    directions = [ad.LSTMDirection(wx, wh, b),
-                  ad.LSTMDirection(wx, wh, b, reverse=True, mask=RAGGED_MASK)]
+    directions = [ad.LSTMDirection(wx, wh, b), ad.LSTMDirection(wx, wh, b, reverse=True)]
     with ad.graph_scope() as g:
-        out = ad.lstm_lockstep(x, h0, c0, directions)
+        out = ad.lstm_lockstep(x, h0, c0, directions, RAGGED)
         assert [rec.kind for rec in g.nodes] == ["lstm_seq"]
     assert out.shape == (3, 4, 4)
     with ad.no_grad():
         assert np.array_equal(out.data[..., 2:],
-                              ad.lstm_seq(x, h0, c0, wx, wh, b, RAGGED_MASK, True).data)
+                              _one_direction(x, h0, c0, wx, wh, b, RAGGED, True).data)
     with pytest.raises(ad.ShapeError, match=r"wh \(3, 8\)"):
         ad.lstm_lockstep(x, h0, c0, [directions[0], ad.LSTMDirection(wx, wx, b)])
-    with pytest.raises(ad.ShapeError, match="mask"):
-        ad.lstm_lockstep(x, h0, c0, [directions[0],
-                                     ad.LSTMDirection(wx, wh, b, mask=np.ones((3, 3)))])
+
+
+def test_lstm_lockstep_node_keeps_gate_activations_c_and_the_time_index():
+    # per (step, direction, row) the node may keep 4H gate activations, H of
+    # c and an 8-byte time index, plus the stacked recurrent weights and
+    # biases; keeping the per-step h as well would add 8H bytes and fail
+    rng = np.random.default_rng(13)
+    bsz, steps, hid, emb, n_dir = 16, 10, 8, 6, 2
+    lengths = rng.integers(1, steps + 1, bsz).tolist()
+    x = ad.param(rng.uniform(-1.0, 1.0, (bsz, steps, emb)))
+    h0 = c0 = ad.zeros((bsz, hid))
+    directions = [ad.LSTMDirection(*(ad.param(rng.uniform(-1.0, 1.0, shape)) for shape in
+                                     ((emb, 4 * hid), (hid, 4 * hid), (1, 4 * hid))), reverse)
+                  for reverse in (False, True)]
+    with ad.graph_scope():
+        tracemalloc.start()
+        try:
+            out = ad.lstm_lockstep(x, h0, c0, directions, lengths)
+            kept = tracemalloc.get_traced_memory()[0] - out.data.nbytes
+        finally:
+            tracemalloc.stop()
+    per_slot = 8 * (5 * hid + 1) * steps * n_dir * bsz
+    weights = 8 * n_dir * (hid + 1) * 4 * hid
+    assert kept <= per_slot + weights + 4096, (kept, per_slot, weights)
 
 
 def test_sigmoid_is_bitwise_the_two_branch_form():

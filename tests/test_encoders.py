@@ -263,53 +263,59 @@ def test_fused_cell_bitwise_matches_composition(consume):
         assert np.array_equal(got, want)
 
 
-def _lstm_seq_reference(x, h0, c0, wx, wh, b, mask=None, reverse=False):
+def _lstm_seq_reference(x, h0, c0, wx, wh, b, lengths=None, reverse=False):
     """The recurrence as a per-step chain of fused cells, kept as the
-    reference for ``lstm_seq``: one narrow and one cell per step, and a
-    mask mul on h and c."""
+    reference for one ``lstm_lockstep`` direction: per step, one gather of
+    each row's input at that step's time and one cell."""
     bsz, steps, emb = x.shape
-    hid = wh.shape[0]
-    h, c = h0, c0
-    states = [None] * steps
-    for t in (reversed(range(steps)) if reverse else range(steps)):
-        h, c = ad.lstm_cell(ad.reshape(ad.narrow(x, 1, t, 1), (bsz, emb)), h, c, wx, wh, b)
-        if mask is not None:
-            m = ad.const(mask[:, t:t + 1])
-            h, c = ad.mul(h, m), ad.mul(c, m)
-        states[t] = ad.reshape(h, (bsz, 1, hid))
-    return ad.concat(states, axis=1)
+    lengths = [steps] * bsz if lengths is None else lengths
+    # step s reads row b at flat slot b*T + time
+    slots = np.array([[b * steps + (n - 1 - s if reverse and s < n else s)
+                       for b, n in enumerate(lengths)] for s in range(steps)])
+    x2 = ad.reshape(x, (bsz * steps, emb))
+    h, c, states = h0, c0, []
+    for s in range(steps):
+        h, c = ad.lstm_cell(ad.take_rows(x2, slots[s]), h, c, wx, wh, b)
+        states.append(h)
+    by_slot = ad.take_rows(ad.concat(states, axis=0), np.argsort(slots.reshape(-1)))
+    return ad.reshape(by_slot, (bsz, steps, wh.shape[0]))
+
+
+def _one_direction(x, h0, c0, wx, wh, b, lengths=None, reverse=False):
+    return ad.lstm_lockstep(x, h0, c0, [ad.LSTMDirection(wx, wh, b, reverse)], lengths)
 
 
 def test_lstm_seq_matches_per_step_cell_chain():
     # states and all six input gradients, h0 and c0 included, in both
-    # directions with and without a ragged mask, and for a single row
+    # directions with and without ragged lengths, and for a single row
     rng = np.random.default_rng(21)
-    mask = np.array([[1, 1, 1, 1, 1], [1, 1, 0, 0, 0], [1, 1, 1, 0, 0]], dtype=float)
-    for bsz, row_mask in ((3, mask), (1, mask[:1])):
+    for lengths in ([5, 2, 3], [5], [3]):
+        bsz = len(lengths)
         inputs = [ad.param(rng.uniform(-1.5, 1.5, shape)) for shape in
                   ((bsz, 5, 4), (bsz, 3), (bsz, 3), (4, 12), (3, 12), (1, 12))]
         mix = ad.const(rng.uniform(-1, 1, (bsz, 5, 3)))
         for reverse in (False, True):
-            for m in (None, row_mask):
+            for rows in (None, lengths):
                 def run(seq):
                     with ad.graph_scope() as g:
                         for t in inputs:
                             t.zero_grad()
-                        out = seq(*inputs, mask=m, reverse=reverse)
+                        out = seq(*inputs, rows, reverse)
                         ad.backward(ad.sum_(ad.tanh(ad.mul(out, mix))), g)
                     return [out.data] + [t.grad_matrix().copy() for t in inputs]
 
-                for i, (a, w) in enumerate(zip(run(ad.lstm_seq), run(_lstm_seq_reference))):
-                    assert np.any(w != 0), (bsz, reverse, m is None, i)
+                case = (lengths, reverse, rows is None)
+                for i, (a, w) in enumerate(zip(run(_one_direction), run(_lstm_seq_reference))):
+                    assert np.any(w != 0), case + (i,)
                     gap = np.linalg.norm(a - w)
-                    assert gap <= 1e-12 * np.linalg.norm(w), (bsz, reverse, m is None, i)
+                    assert gap <= 1e-12 * np.linalg.norm(w), case + (i,)
 
 
-def _bilstm_two_calls(x, h0, c0, fw, bw, mask):
-    """The BiLSTM as two recurrences and a concat (a forward ``lstm_seq``,
-    a reversed masked one), kept as the reference for the lockstep node."""
-    return ad.concat([ad.lstm_seq(x, h0, c0, *fw),
-                      ad.lstm_seq(x, h0, c0, *bw, mask=mask, reverse=True)], axis=2)
+def _bilstm_two_calls(x, h0, c0, fw, bw, lengths):
+    """The BiLSTM as two one-direction nodes (a forward one, a reversed one)
+    and a concat, kept as the reference for the lockstep node."""
+    return ad.concat([_one_direction(x, h0, c0, *fw),
+                      _one_direction(x, h0, c0, *bw, lengths, reverse=True)], axis=2)
 
 
 @pytest.mark.parametrize("lengths, steps", [
@@ -318,10 +324,9 @@ def _bilstm_two_calls(x, h0, c0, fw, bw, mask):
 @pytest.mark.parametrize("start", ["param", "zero"])
 def test_lockstep_bilstm_bitwise_matches_two_calls(lengths, steps, start):
     # the states and every input gradient, h0 and c0 included when they are
-    # parameters, are array_equal to the two-call composition's
+    # parameters, are byte-equal to the two-call composition's
     rng = np.random.default_rng(31)
     bsz = len(lengths)
-    mask = (np.arange(steps) < np.array(lengths)[:, None]).astype(float)
     x = ad.param(rng.uniform(-1.5, 1.5, (bsz, steps, 4)))
     if start == "param":
         h0, c0 = (ad.param(rng.uniform(-1.5, 1.5, (bsz, 3))) for _ in range(2))
@@ -333,15 +338,15 @@ def test_lockstep_bilstm_bitwise_matches_two_calls(lengths, steps, start):
     x_mix = ad.const(rng.uniform(-1, 1, (bsz, steps, 4)))
     inputs = [t for t in [x, h0, c0] + fw + bw if t.requires_grad]
 
-    def lockstep(x, h0, c0, fw, bw, mask):
+    def lockstep(x, h0, c0, fw, bw, lengths):
         return ad.lstm_lockstep(x, h0, c0, [ad.LSTMDirection(*fw),
-                                            ad.LSTMDirection(*bw, reverse=True, mask=mask)])
+                                            ad.LSTMDirection(*bw, reverse=True)], lengths)
 
     def run(bilstm):
         with ad.graph_scope() as g:
             for t in inputs:
                 t.zero_grad()
-            out = bilstm(x, h0, c0, fw, bw, mask)
+            out = bilstm(x, h0, c0, fw, bw, lengths)
             # x's gradient starts from this later term, so the order in which
             # the directions add theirs shows in the last bit
             loss = ad.add(ad.sum_(ad.tanh(ad.mul(out, mix))), ad.sum_(ad.mul(x, x_mix)))
@@ -355,6 +360,51 @@ def test_lockstep_bilstm_bitwise_matches_two_calls(lengths, steps, start):
     for i, (a, w, t) in enumerate(zip(got, want, [None] + inputs)):
         assert np.any(w != 0) or id(t) in zero_wh, i
         assert a.tobytes() == w.tobytes(), i
+
+
+def test_padded_reversed_rows_match_each_row_alone():
+    # from a parameter start state, each padded row's states and gradients
+    # are those of the row run alone; not bitwise, as a one-row product goes
+    # to gemv, so to 1e-12 relative (the weights' gradients sum the rows)
+    rng = np.random.default_rng(41)
+    lengths, steps = [6, 2, 4, 1], 6
+    bsz = len(lengths)
+    x = rng.uniform(-1.5, 1.5, (bsz, steps, 4))
+    h0, c0 = (rng.uniform(-1.5, 1.5, (bsz, 3)) for _ in range(2))
+    cells = [[ad.param(rng.uniform(-1.0, 1.0, s)) for s in ((4, 12), (3, 12), (1, 12))]
+             for _ in range(2)]
+    weights = cells[0] + cells[1]
+    mix = rng.uniform(-1, 1, (bsz, steps, 6))
+
+    def run(rows):  # the loss reads each row's own tokens only
+        leaves = [ad.param(a[rows].copy()) for a in (x, h0, c0)]
+        n = max(lengths[r] for r in rows)
+        xr = ad.narrow(leaves[0], 1, 0, n)
+        with ad.graph_scope() as g:
+            out = ad.lstm_lockstep(xr, *leaves[1:], [ad.LSTMDirection(*cells[0]),
+                                   ad.LSTMDirection(*cells[1], reverse=True)],
+                                   [lengths[r] for r in rows])
+            valid = (np.arange(n) < np.array([lengths[r] for r in rows])[:, None])
+            m = mix[rows][:, :n] * valid[..., None]
+            ad.backward(ad.sum_(ad.tanh(ad.mul(out, ad.const(m)))), g)
+        return out.data * valid[..., None], [t.grad_matrix().copy() for t in leaves]
+
+    for t in weights:
+        t.zero_grad()
+    states, grads = run(list(range(bsz)))
+    batch_weights = [t.grad_matrix().copy() for t in weights]
+    for t in weights:
+        t.zero_grad()
+    for r, n in enumerate(lengths):
+        alone, alone_grads = run([r])
+        assert np.any(alone[0] != 0)
+        gap = np.linalg.norm(states[r, :n] - alone[0])
+        assert gap <= 1e-12 * np.linalg.norm(alone[0]), r
+        for got, want in zip(grads, alone_grads):
+            assert np.linalg.norm(got[r] - want[0]) <= 1e-12 * np.linalg.norm(want[0]), r
+    for got, t in zip(batch_weights, weights):
+        want = t.grad_matrix()
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_encoder_bilstm_is_one_node(enc):
