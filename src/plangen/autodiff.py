@@ -36,24 +36,19 @@ class ParameterError(ValueError):
     """An op hyperparameter (temperature, bin count, ...) is invalid."""
 
 
-_node_counter = itertools.count()
-
-
 class Tensor:
     """Shape + float64 values + accumulated gradient.
 
-    ``values`` and ``grad`` are flat views over the underlying shaped
-    storage; mutating them in place is supported (the optimizer and the
-    finite-difference harness rely on it).  ``grad`` is all-zero right
-    after creation and after :meth:`zero_grad`.
+    ``grad`` has the tensor's own shape; it is all-zero right after
+    creation and after :meth:`zero_grad`, and the optimizer updates
+    ``data`` in place.
     """
 
-    __slots__ = ("data", "requires_grad", "node_id", "_grad")
+    __slots__ = ("data", "requires_grad", "_grad")
 
     def __init__(self, data: np.ndarray, requires_grad: bool = False):
         self.data = data
         self.requires_grad = requires_grad
-        self.node_id = next(_node_counter)
         self._grad: np.ndarray | None = None
 
     @property
@@ -65,17 +60,7 @@ class Tensor:
         return self.data.size
 
     @property
-    def values(self) -> np.ndarray:
-        return self.data.reshape(-1)
-
-    @property
     def grad(self) -> np.ndarray:
-        if self._grad is None:
-            self._grad = np.zeros_like(self.data)
-        return self._grad.reshape(-1)
-
-    def grad_matrix(self) -> np.ndarray:
-        """Gradient with the tensor's own shape (optimizer convenience)."""
         if self._grad is None:
             self._grad = np.zeros_like(self.data)
         return self._grad
@@ -105,21 +90,19 @@ class Tensor:
 
 
 class OpRecord:
-    """One node of the computation graph (append order = topological order).
+    """One node of the computation graph (append order = topological order):
+    its output and backward rule, which holds what the rule reads.
 
     A node has one output, or two (``out2``, as for :func:`lstm_cell`);
     ``backward_fn`` gets the first output's gradient, which is None when
     only the second one has a gradient.
     """
 
-    __slots__ = ("kind", "input_ids", "output_id", "out", "out2", "backward_fn")
+    __slots__ = ("kind", "out", "out2", "backward_fn")
 
-    def __init__(self, kind: str, inputs: Sequence[Tensor], out: Tensor,
-                 backward_fn: Callable[[np.ndarray | None], None],
+    def __init__(self, kind: str, out: Tensor, backward_fn: Callable[[np.ndarray | None], None],
                  out2: Tensor | None = None):
         self.kind = kind
-        self.input_ids = tuple([t.node_id for t in inputs])
-        self.output_id = out.node_id
         self.out = out
         self.out2 = out2
         self.backward_fn = backward_fn
@@ -161,46 +144,30 @@ def no_grad():
         _grad_enabled = prev
 
 
-def _as_array(values, shape=None) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if shape is not None:
-        arr = arr.reshape(shape)
-    return arr
+def param(values) -> Tensor:
+    return Tensor(np.asarray(values, dtype=np.float64), requires_grad=True)
 
 
-def tensor(values, shape=None, requires_grad: bool = False) -> Tensor:
-    return Tensor(_as_array(values, shape), requires_grad=requires_grad)
-
-
-def param(values, shape=None) -> Tensor:
-    return tensor(values, shape, requires_grad=True)
-
-
-def const(values, shape=None) -> Tensor:
-    return tensor(values, shape, requires_grad=False)
+def const(values) -> Tensor:
+    return Tensor(np.asarray(values, dtype=np.float64))
 
 
 def zeros(shape) -> Tensor:
     return Tensor(np.zeros(shape, dtype=np.float64))
 
 
+def _tracking(inputs: Sequence[Tensor]) -> bool:
+    """Whether an op over ``inputs`` goes on the tape: recording is on and
+    some input requires grad."""
+    return _grad_enabled and any([t.requires_grad for t in inputs])
+
+
 def _make(kind: str, inputs: Sequence[Tensor], data: np.ndarray,
-          backward_fn: Callable[[np.ndarray], None] | None) -> Tensor:
-    if not _grad_enabled:  # nothing is recorded, so the inputs need no scan
-        return Tensor(data)
-    track = any([t.requires_grad for t in inputs])
+          backward_fn: Callable[[np.ndarray], None]) -> Tensor:
+    track = _tracking(inputs)
     out = Tensor(data, track)
-    if track and backward_fn is not None:
-        _active_graph.nodes.append(OpRecord(kind, inputs, out, backward_fn))
-    return out
-
-
-def record(kind: str, inputs: Sequence[Tensor], out: Tensor,
-           backward_fn: Callable[[np.ndarray], None]) -> Tensor:
-    """Manually append a node (used by tests to inject corrupted rules)."""
-    out.requires_grad = _grad_enabled and any(t.requires_grad for t in inputs)
-    if out.requires_grad:
-        _active_graph.nodes.append(OpRecord(kind, inputs, out, backward_fn))
+    if track:
+        _active_graph.nodes.append(OpRecord(kind, out, backward_fn))
     return out
 
 
@@ -519,8 +486,7 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor, wx: Tensor, wh: Tensor,
     g = np.tanh(gates[:, 2 * hid:3 * hid])
     c2 = f * c.data + i * g
     tc = np.tanh(c2)
-    inputs = (x, h, c, wx, wh, b)
-    track = _grad_enabled and any([t.requires_grad for t in inputs])
+    track = _tracking((x, h, c, wx, wh, b))
     h_out = Tensor(o * tc, requires_grad=track)
     c_out = Tensor(c2, requires_grad=track)
     if not track:
@@ -539,7 +505,7 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor, wx: Tensor, wh: Tensor,
             if w.requires_grad:
                 w._accumulate(_unbroadcast(inp.data.swapaxes(-1, -2) @ dgates, w.shape))
 
-    _active_graph.nodes.append(OpRecord("lstm_cell", inputs, h_out, bw, out2=c_out))
+    _active_graph.nodes.append(OpRecord("lstm_cell", h_out, bw, out2=c_out))
     return h_out, c_out
 
 
@@ -593,8 +559,7 @@ def lstm_lockstep(x: Tensor, h0: Tensor, c0: Tensor, directions: Sequence[LSTMDi
     s_col = np.arange(steps)[:, None]
     back = (np.where(s_col < lens, lens - 1 - s_col, s_col) + np.arange(0, bsz * steps, steps)
             if any(d.reverse for d in dirs) else None)
-    inputs = (x, h0, c0, *[t for d in dirs for t in d[:3]])
-    track = _grad_enabled and any([t.requires_grad for t in inputs])
+    track = _tracking((x, h0, c0, *[t for d in dirs for t in d[:3]]))
     x2 = x.data.reshape(bsz * steps, emb)
     xw = np.empty((steps, n_dir, bsz, 4 * hid))  # row s: each direction's step s
     for d, direction in enumerate(dirs):
@@ -676,7 +641,7 @@ def lstm_lockstep(x: Tensor, h0: Tensor, c0: Tensor, directions: Sequence[LSTMDi
             if wx.requires_grad:
                 wx._accumulate(x2.T @ dg2)
 
-    _active_graph.nodes.append(OpRecord("lstm_seq", inputs, out, bw))
+    _active_graph.nodes.append(OpRecord("lstm_seq", out, bw))
     return out
 
 
@@ -735,8 +700,8 @@ def sample_gumbel(rng: np.random.Generator, shape) -> np.ndarray:
 # backward / verification
 
 
-def backward(root: Tensor, graph: Graph | None = None) -> None:
-    """Reverse traversal seeding d(root)/d(root) = 1.
+def backward(root: Tensor) -> None:
+    """Reverse traversal of the active graph seeding d(root)/d(root) = 1.
 
     Every leaf reachable from ``root`` with requires_grad gets its grad
     populated; unreachable leaves keep zero grad and grads accumulate.  The
@@ -745,7 +710,7 @@ def backward(root: Tensor, graph: Graph | None = None) -> None:
     """
     if root.data.size != 1:
         raise ShapeError(f"backward root must be scalar, got shape {root.shape}")
-    g = graph if graph is not None else _active_graph
+    g = _active_graph
     if g.spent:
         raise RuntimeError("backward over a spent graph: record the forward in a new graph_scope")
     g.spent = True
@@ -774,17 +739,17 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor],
     loss from scratch on every call and be deterministic given the current
     parameter values.
     """
-    with graph_scope() as g:
+    with graph_scope():
         loss = f()
         for p in params:
             p.zero_grad()
-        backward(loss, g)
-        analytic = [p.grad.copy() for p in params]
+        backward(loss)
+        analytic = [p.grad.reshape(-1).copy() for p in params]
 
     worst = 0.0
     with no_grad():
         for p, ana in zip(params, analytic):
-            flat = p.values
+            flat = p.data.reshape(-1)  # a view: writes move the parameter
             numeric = np.zeros_like(ana)
             for i in range(flat.size):
                 keep = flat[i]

@@ -200,11 +200,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         synth.TOY_FRAMES,
     )
     plan_cs_f = plan_co = 0.0
-    for row, game in zip(rows, gold):
+    for row_no, (row, game) in enumerate(zip(rows, gold), start=1):
         pool = build_plan_pool(schema, game.table)
+        plan = MacroPlan(steps=row.plan_indices, terminated=row.terminated)
+        try:
+            plan.validate(pool)
+        except DataError as exc:
+            raise DataError(f"{args.generated}: row {row_no}: {exc}") from exc
         oracle = game.oracle or extract_oracle_plan(game.table, game.document, pool)
-        _, _, f, co_val = metrics.plan_quality(
-            MacroPlan(steps=row.plan_indices, terminated=row.terminated), oracle, pool)
+        _, _, f, co_val = metrics.plan_quality(plan, oracle, pool)
         plan_cs_f += f
         plan_co += co_val
     n = len(rows)

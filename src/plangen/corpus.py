@@ -182,12 +182,10 @@ class MacroPlan:
     steps: list[int]
     terminated: bool = False
 
-    def validate(self, pool: PlanPool, max_len: int | None = None) -> None:
+    def validate(self, pool: PlanPool) -> None:
         for s in self.steps:
             if not 0 <= s < len(pool):
                 raise DataError(f"plan step {s} outside pool of size {len(pool)}")
-        if max_len is not None and len(self.steps) > max_len:
-            raise DataError(f"plan length {len(self.steps)} exceeds maximum {max_len}")
 
 
 @dataclass
@@ -412,10 +410,6 @@ class Vocab:
 
     def __contains__(self, token: str) -> bool:
         return token in self._ids
-
-    @property
-    def pad_id(self) -> int:
-        return self._ids[PAD]
 
     @property
     def bos_id(self) -> int:

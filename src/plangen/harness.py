@@ -77,17 +77,19 @@ class LossFixture:
 
     def loss(self) -> ad.Tensor:
         rng = np.random.default_rng(self.noise_seed)
-        [lb] = compute_loss(self.model, [self.prepared], self.cfg, self.step, rng,
-                            self.vocab)
-        return lb.total_tensor
+        return compute_loss(self.model, [self.prepared], self.cfg, self.step, rng,
+                            self.vocab).total
 
 
-def build_loss_fixture(hidden: int = 4, seed: int = 7,
-                       point_scale: float = 0.5) -> LossFixture:
-    """The fixture is checked at a generic parameter point (uniform in
-    [-point_scale, point_scale]) rather than the small training init:
-    with 0.1-scale weights, deep-chain tensors carry whole-gradient norms
-    near 1e-7, below what float64 central differences can certify."""
+# The fixture is checked at a generic parameter point (uniform in
+# [-POINT_SCALE, POINT_SCALE]) rather than the small training init: with
+# 0.1-scale weights, deep-chain tensors carry whole-gradient norms near
+# 1e-7, below what float64 central differences can certify.
+POINT_SCALE = 0.5
+
+
+def build_loss_fixture(hidden: int = 4, seed: int = 7) -> LossFixture:
+    """The tiny game, its vocabulary and a model at a generic point."""
     game = tiny_game()
     vocab = build_vocab([game], TINY_SCHEMA, min_count=1)
     if len(vocab) > 30:
@@ -99,7 +101,7 @@ def build_loss_fixture(hidden: int = 4, seed: int = 7,
         ModelConfig(vocab_size=len(vocab), hidden=hidden, embed=hidden, bins=2))
     point_rng = np.random.default_rng(seed + 1)
     for t in model.named().values():
-        t.data[...] = point_rng.uniform(-point_scale, point_scale, size=t.data.shape)
+        t.data[...] = point_rng.uniform(-POINT_SCALE, POINT_SCALE, size=t.data.shape)
     prepared = prepare_game(game, TINY_SCHEMA, vocab, bins)
     return LossFixture(model=model, prepared=prepared, cfg=cfg, vocab=vocab)
 

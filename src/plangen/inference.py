@@ -145,17 +145,19 @@ def greedy_bleu(model, prepared, vocab: Vocab, bin_policy: dict[str, int]) -> fl
 
 def tune_bins(model, prepared_valid, vocab: Vocab) -> dict[str, int]:
     """Pick the bin maximizing validation BLEU per plan kind (greedy decode,
-    one coordinate-ascent pass in fixed kind order, ties to the lower bin)."""
+    one coordinate-ascent pass in fixed kind order, ties to the lower bin).
+    A kind's current bin keeps the policy the previous kind chose, so its
+    score is carried over rather than decoded again."""
     policy = observed_bin_modes(prepared_valid)
     if not prepared_valid:
         return policy
+    score = None  # the BLEU of ``policy`` once a pass has decoded it
     for kind in sorted(policy):
-        best_bin, best_score = None, None
-        for b in range(model.config.bins):
-            s = greedy_bleu(model, prepared_valid, vocab, {**policy, kind: b})
-            if best_score is None or s > best_score:
-                best_bin, best_score = b, s
-        policy[kind] = best_bin
+        scores = [score if score is not None and b == policy[kind]
+                  else greedy_bleu(model, prepared_valid, vocab, {**policy, kind: b})
+                  for b in range(model.config.bins)]
+        policy[kind] = scores.index(max(scores))  # ties go to the lower bin
+        score = scores[policy[kind]]
     return policy
 
 
@@ -192,10 +194,15 @@ def read_generations(path) -> list[GenerationRow]:
                 continue
             try:
                 obj = json.loads(line)
+                steps, terminated = obj["plan_indices"], obj["terminated"]
+                if not (isinstance(steps, list) and all(type(s) is int and s >= 0 for s in steps)):
+                    raise ValueError(f"plan_indices must be a list of non-negative integers, "
+                                     f"got {steps!r}")
+                if type(terminated) is not bool:
+                    raise ValueError(f"terminated must be true or false, got {terminated!r}")
                 summary = obj.get("summary", "")
                 paragraphs = parse_summary(summary).paragraphs if summary.strip() else []
-                rows.append(GenerationRow(plan_indices=list(obj["plan_indices"]),
-                                          terminated=bool(obj["terminated"]),
+                rows.append(GenerationRow(plan_indices=steps, terminated=terminated,
                                           paragraphs=paragraphs))
             except KeyError as exc:
                 raise DataError(f"{path}: line {line_no}: missing key {exc}") from exc

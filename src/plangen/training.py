@@ -196,21 +196,21 @@ def prepare_game(game: Game, schema: Schema, vocab: Vocab,
 
 
 @dataclass
-class LossBreakdown:
-    """Sign convention: total = -(reconstruction - kl + lambda*supervision)."""
+class UpdateLoss:
+    """The losses of one update's G games, game g's in row g of ``total``
+    and in entry g of each per-game field.
 
-    reconstruction: float
-    kl: float
-    supervision: float
-    total: float
-    total_tensor: Tensor | None = None
-    oracle_steps_used: int = 0
-    sampled_steps: int = 0
-    epsilon: float = 0.0
+    Sign convention: total = -(reconstruction - kl + lambda*supervision);
+    ``total`` is the recorded (G, 1) tensor, the rest are numpy arrays of
+    its terms and per-game counts."""
 
-
-def _scalar(x: float) -> Tensor:
-    return ad.const([[x]])
+    total: Tensor
+    reconstruction: np.ndarray
+    kl: np.ndarray
+    supervision: np.ndarray
+    oracle_steps_used: list[int]
+    sampled_steps: list[int]
+    epsilon: float
 
 
 def _offsets(sizes: list[int]) -> list[int]:
@@ -388,28 +388,25 @@ def _reconstruction(model: ModelParams, games: list[PreparedGame], walk: PlanWal
 
 
 def compute_loss(model: ModelParams, games: list[PreparedGame], cfg: TrainConfig,
-                 k: int, rng: np.random.Generator, vocab: Vocab) -> list[LossBreakdown]:
-    """Per-game losses of one update at training step k, recorded as one
-    tape: the planning walk (the only consumer of ``rng``), then
-    reconstruction."""
+                 k: int, rng: np.random.Generator, vocab: Vocab) -> UpdateLoss:
+    """The losses of one update at training step k, recorded as one tape:
+    the planning walk (the only consumer of ``rng``), then reconstruction."""
     eps = scheduled_sampling_rate(k, cfg.decay_slope)
     walk = plan_walk(model, games, eps, cfg.temperature, rng)
     recon = _reconstruction(model, games, walk, vocab)
     kl, sup = walk.kl, walk.supervision
-    total = ad.neg(ad.add(ad.sub(recon, kl), ad.mul(_scalar(cfg.lam), sup)))
-    return [LossBreakdown(
-        reconstruction=float(recon.data[g, 0]), kl=float(kl.data[g, 0]),
-        supervision=float(sup.data[g, 0]), total=float(total.data[g, 0]),
-        total_tensor=total if len(games) == 1 else ad.narrow(total, 0, g, 1),
-        oracle_steps_used=walk.oracle_steps_used[g], sampled_steps=walk.sampled_steps[g],
-        epsilon=eps) for g in range(len(games))]
+    total = ad.neg(ad.add(ad.sub(recon, kl), ad.mul(ad.const([[cfg.lam]]), sup)))
+    return UpdateLoss(total=total, reconstruction=recon.data.reshape(-1),
+                      kl=kl.data.reshape(-1), supervision=sup.data.reshape(-1),
+                      oracle_steps_used=walk.oracle_steps_used,
+                      sampled_steps=walk.sampled_steps, epsilon=eps)
 
 
 def adagrad_update(named: dict[str, Tensor], accumulators: dict[str, np.ndarray],
                    lr: float) -> None:
     """accumulator += grad^2; param -= lr * grad / sqrt(accumulator + 1e-8)."""
     for name, t in named.items():
-        g = t.grad_matrix()
+        g = t.grad
         acc = accumulators[name]
         acc += g * g
         t.data -= lr * g / np.sqrt(acc + ADAGRAD_EPS)
@@ -443,13 +440,6 @@ class TrainResult:
     history: list[dict]
     best_epoch: int
     best_accuracy: float
-
-
-def _mean_loss(losses: list[LossBreakdown]) -> Tensor:
-    total = losses[0].total_tensor
-    for lb in losses[1:]:
-        total = ad.add(total, lb.total_tensor)
-    return ad.mul(total, _scalar(1.0 / len(losses)))
 
 
 def train(schema: Schema, train_games: list[Game], valid_games: list[Game],
@@ -487,26 +477,28 @@ def train(schema: Schema, train_games: list[Game], valid_games: list[Game],
             batch = order[start:start + cfg.batch_size]
             with ad.graph_scope():
                 model.zero_grad()
-                losses = compute_loss(model, [prepared[int(i)] for i in batch], cfg, k,
-                                      rng, vocab)
-                mean_total = _mean_loss(losses)
-                if not np.isfinite(mean_total.item()):
+                loss = compute_loss(model, [prepared[int(i)] for i in batch], cfg, k, rng,
+                                    vocab)
+                totals = loss.total.data[:, 0].tolist()
+                # summed in game order: numpy's pairwise sum of the column can
+                # round differently from 8 games on
+                mean_total = sum(totals) * (1.0 / len(totals))
+                if not np.isfinite(mean_total):
                     raise NumericError(
-                        f"non-finite loss at epoch {epoch} step {k}: "
-                        f"{[lb.total for lb in losses]}")
-                ad.backward(mean_total)
+                        f"non-finite loss at epoch {epoch} step {k}: {totals}")
+                ad.backward(ad.mul(ad.sum_(loss.total), ad.const(1.0 / len(totals))))
             grad_norm = ad.clip_global_norm(list(named.values()), cfg.clip_norm)
             adagrad_update(named, accumulators, cfg.learning_rate)
             history.append({
                 "epoch": epoch, "step": k,
-                "loss": mean_total.item(),
-                "recon": float(np.mean([lb.reconstruction for lb in losses])),
-                "kl": float(np.mean([lb.kl for lb in losses])),
-                "supervision": float(np.mean([lb.supervision for lb in losses])),
-                "epsilon": losses[0].epsilon,
+                "loss": mean_total,
+                "recon": float(np.mean(loss.reconstruction)),
+                "kl": float(np.mean(loss.kl)),
+                "supervision": float(np.mean(loss.supervision)),
+                "epsilon": loss.epsilon,
                 "grad_norm": grad_norm,
-                "oracle_steps": sum(lb.oracle_steps_used for lb in losses),
-                "sampled_steps": sum(lb.sampled_steps for lb in losses),
+                "oracle_steps": sum(loss.oracle_steps_used),
+                "sampled_steps": sum(loss.sampled_steps),
             })
             k += 1
         acc = plan_selection_accuracy(model, prepared_valid, cfg.batch_size)

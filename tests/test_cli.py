@@ -335,6 +335,43 @@ def test_evaluate_generation_row_without_plan_indices_is_data_error(tmp_path, wo
     assert f"{gen}: line 1: missing key 'plan_indices'" in capsys.readouterr().err
 
 
+# generation row fields -> what the message must say after "<path>: line 1: "
+GENERATION_FAULTS = {
+    "indices_string": ({"plan_indices": "12"}, "plan_indices must be a list"),
+    "indices_float": ({"plan_indices": [0, 1.5]}, "plan_indices must be a list"),
+    "indices_negative": ({"plan_indices": [0, -1]}, "plan_indices must be a list"),
+    "indices_bool": ({"plan_indices": [True]}, "plan_indices must be a list"),
+    "terminated_string": ({"terminated": "false"}, "terminated must be true or false"),
+    "terminated_int": ({"terminated": 0}, "terminated must be true or false"),
+}
+
+
+def _evaluate(gen: Path, data: Path) -> int:
+    return main(["evaluate", "--generated", str(gen), "--gold", str(data / "test.jsonl"),
+                 "--schema", str(data / "schema.json")])
+
+
+@pytest.mark.parametrize("fault", sorted(GENERATION_FAULTS))
+def test_malformed_generation_row_is_data_error(tmp_path, workdir, capsys, fault):
+    fields, message = GENERATION_FAULTS[fault]
+    gen = tmp_path / "gen.jsonl"
+    row = {"plan_indices": [0], "terminated": True, "summary": "The Reds won ."}
+    gen.write_text(json.dumps({**row, **fields}) + "\n")
+    assert _evaluate(gen, workdir / "data") == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{gen}: line 1: {message}" in err and "Traceback" not in err
+
+
+def test_generation_plan_outside_its_pool_names_the_file_and_row(tmp_path, workdir, capsys):
+    gen = tmp_path / "gen.jsonl"
+    rows = [{"plan_indices": [99] if i == 1 else [0], "terminated": True,
+             "summary": "The Reds won ."} for i in range(4)]  # test.jsonl holds 4 games
+    gen.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    assert _evaluate(gen, workdir / "data") == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{gen}: row 2: plan step 99 outside pool of size" in err and "Traceback" not in err
+
+
 def test_profiles_fix_documented_defaults():
     assert cli.PROFILES["toy"]["max_paragraphs"] == 8
     assert cli.PROFILES["rotowire-like"]["max_paragraphs"] == 15

@@ -139,11 +139,11 @@ def test_forget_gate_bias_initialized_to_one():
 
 def test_gradients_reach_embeddings_of_every_input_token(enc):
     tokens = [7, 11, 13]
-    with ad.graph_scope() as g:
+    with ad.graph_scope():
         enc.emb.zero_grad()
         r = encode_paragraphs(enc, [tokens]).pooled
-        ad.backward(ad.sum_(r), g)
-    emb_grad = enc.emb.grad_matrix()
+        ad.backward(ad.sum_(r))
+    emb_grad = enc.emb.grad
     for tok in tokens:
         assert np.any(emb_grad[tok] != 0)
     assert np.all(emb_grad[20] == 0)  # token not in input
@@ -201,7 +201,7 @@ def test_padded_batch_matches_masked_reference():
     named = enc3.named()
 
     def run(encode):
-        with ad.graph_scope() as g:
+        with ad.graph_scope():
             for t in named.values():
                 t.zero_grad()
             pe = encode(enc3, seqs)
@@ -209,9 +209,9 @@ def test_padded_batch_matches_masked_reference():
             loss = ad.sum_(ad.tanh(ad.mul(pe.pooled, pooled_mix)))
             for row, mix in zip(rows, row_mix):
                 loss = ad.add(loss, ad.sum_(ad.tanh(ad.mul(row, mix))))
-            ad.backward(loss, g)
+            ad.backward(loss)
         return (pe.pooled.data, [r.data for r in rows],
-                {k: t.grad_matrix().copy() for k, t in named.items()})
+                {k: t.grad.copy() for k, t in named.items()})
 
     pooled, rows, grads = run(encode_pool)
     ref_pooled, ref_rows, ref_grads = run(_encode_pool_reference)
@@ -250,14 +250,14 @@ def test_fused_cell_bitwise_matches_composition(consume):
     inputs = [x, h, c, p.wx, p.wh, p.b]
 
     def run(cell):
-        with ad.graph_scope() as g:
+        with ad.graph_scope():
             for t in inputs:
                 t.zero_grad()
             h2, c2 = cell(p, x, h, c)
             h_loss, c_loss = ad.sum_(ad.mul(h2, h_mix)), ad.sum_(ad.mul(c2, c_mix))
             loss = {"h": h_loss, "c": c_loss, "both": ad.add(h_loss, c_loss)}[consume]
-            ad.backward(loss, g)
-        return [h2.data, c2.data] + [t.grad_matrix().copy() for t in inputs]
+            ad.backward(loss)
+        return [h2.data, c2.data] + [t.grad.copy() for t in inputs]
 
     for got, want in zip(run(lstm_cell), run(_lstm_cell_reference)):
         assert np.array_equal(got, want)
@@ -297,12 +297,12 @@ def test_lstm_seq_matches_per_step_cell_chain():
         for reverse in (False, True):
             for rows in (None, lengths):
                 def run(seq):
-                    with ad.graph_scope() as g:
+                    with ad.graph_scope():
                         for t in inputs:
                             t.zero_grad()
                         out = seq(*inputs, rows, reverse)
-                        ad.backward(ad.sum_(ad.tanh(ad.mul(out, mix))), g)
-                    return [out.data] + [t.grad_matrix().copy() for t in inputs]
+                        ad.backward(ad.sum_(ad.tanh(ad.mul(out, mix))))
+                    return [out.data] + [t.grad.copy() for t in inputs]
 
                 case = (lengths, reverse, rows is None)
                 for i, (a, w) in enumerate(zip(run(_one_direction), run(_lstm_seq_reference))):
@@ -343,15 +343,15 @@ def test_lockstep_bilstm_bitwise_matches_two_calls(lengths, steps, start):
                                             ad.LSTMDirection(*bw, reverse=True)], lengths)
 
     def run(bilstm):
-        with ad.graph_scope() as g:
+        with ad.graph_scope():
             for t in inputs:
                 t.zero_grad()
             out = bilstm(x, h0, c0, fw, bw, lengths)
             # x's gradient starts from this later term, so the order in which
             # the directions add theirs shows in the last bit
             loss = ad.add(ad.sum_(ad.tanh(ad.mul(out, mix))), ad.sum_(ad.mul(x, x_mix)))
-            ad.backward(loss, g)
-        return [out.data] + [t.grad_matrix().copy() for t in inputs]
+            ad.backward(loss)
+        return [out.data] + [t.grad.copy() for t in inputs]
 
     got, want = run(lockstep), run(_bilstm_two_calls)
     assert len(got) == (10 if start == "param" else 8)
@@ -380,19 +380,19 @@ def test_padded_reversed_rows_match_each_row_alone():
         leaves = [ad.param(a[rows].copy()) for a in (x, h0, c0)]
         n = max(lengths[r] for r in rows)
         xr = ad.narrow(leaves[0], 1, 0, n)
-        with ad.graph_scope() as g:
+        with ad.graph_scope():
             out = ad.lstm_lockstep(xr, *leaves[1:], [ad.LSTMDirection(*cells[0]),
                                    ad.LSTMDirection(*cells[1], reverse=True)],
                                    [lengths[r] for r in rows])
             valid = (np.arange(n) < np.array([lengths[r] for r in rows])[:, None])
             m = mix[rows][:, :n] * valid[..., None]
-            ad.backward(ad.sum_(ad.tanh(ad.mul(out, ad.const(m)))), g)
-        return out.data * valid[..., None], [t.grad_matrix().copy() for t in leaves]
+            ad.backward(ad.sum_(ad.tanh(ad.mul(out, ad.const(m)))))
+        return out.data * valid[..., None], [t.grad.copy() for t in leaves]
 
     for t in weights:
         t.zero_grad()
     states, grads = run(list(range(bsz)))
-    batch_weights = [t.grad_matrix().copy() for t in weights]
+    batch_weights = [t.grad.copy() for t in weights]
     for t in weights:
         t.zero_grad()
     for r, n in enumerate(lengths):
@@ -403,7 +403,7 @@ def test_padded_reversed_rows_match_each_row_alone():
         for got, want in zip(grads, alone_grads):
             assert np.linalg.norm(got[r] - want[0]) <= 1e-12 * np.linalg.norm(want[0]), r
     for got, t in zip(batch_weights, weights):
-        want = t.grad_matrix()
+        want = t.grad
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 

@@ -154,6 +154,31 @@ def test_immediate_eop_gives_empty_document(trained, monkeypatch):
     assert out.plan.terminated
 
 
+def test_tune_bins_decodes_each_policy_once_and_picks_as_rescoring_all(trained, monkeypatch):
+    from plangen import inference as inf
+
+    schema, games, result = trained
+    prepared = [prepare_game(g, schema, result.vocab, result.bins) for g in games[22:]]
+    real, scored = inf.greedy_bleu, []
+
+    def counting(model, prepared, vocab, bin_policy):
+        scored.append(tuple(sorted(bin_policy.items())))
+        return real(model, prepared, vocab, bin_policy)
+
+    monkeypatch.setattr(inf, "greedy_bleu", counting)
+    tuned = inf.tune_bins(result.model, prepared, result.vocab)
+    kinds, bins = len(tuned), result.model.config.bins
+    assert kinds > 1
+    assert len(scored) == len(set(scored)) == kinds * bins - (kinds - 1)
+    # reference: every candidate decoded, ties to the lower bin
+    policy = inf.observed_bin_modes(prepared)
+    for kind in sorted(policy):
+        scores = [real(result.model, prepared, result.vocab, {**policy, kind: b})
+                  for b in range(bins)]
+        policy[kind] = scores.index(max(scores))
+    assert tuned == policy
+
+
 def test_generation_file_roundtrip(tmp_path, trained):
     schema, games, result = trained
     cfg = DecodeConfig(beam_size=1, bin_policy=result.tuned_bins)

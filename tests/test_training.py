@@ -48,48 +48,50 @@ def _relaxed_eps_config(**kw) -> TrainConfig:
 
 def test_loss_sign_identity_and_finiteness():
     fx = build_loss_fixture()
-    [lb] = compute_loss(fx.model, [fx.prepared], fx.cfg, 0, np.random.default_rng(0),
+    loss = compute_loss(fx.model, [fx.prepared], fx.cfg, 0, np.random.default_rng(0),
                         fx.vocab)
-    assert np.isfinite(lb.total)
-    assert lb.total == pytest.approx(-(lb.reconstruction - lb.kl
-                                       + fx.cfg.lam * lb.supervision), abs=1e-9)
-    assert lb.kl >= -1e-9
-    assert lb.supervision <= 0.0
+    total = loss.total.item()
+    assert np.isfinite(total)
+    assert total == pytest.approx(-(loss.reconstruction[0] - loss.kl[0]
+                                    + fx.cfg.lam * loss.supervision[0]), abs=1e-9)
+    assert loss.kl[0] >= -1e-9
+    assert loss.supervision[0] <= 0.0
 
 
 def test_lambda_zero_reduces_to_elbo_only():
     fx = build_loss_fixture()
     cfg0 = _relaxed_eps_config(lam=0.0)
-    [lb] = compute_loss(fx.model, [fx.prepared], cfg0, 0, np.random.default_rng(0),
+    loss = compute_loss(fx.model, [fx.prepared], cfg0, 0, np.random.default_rng(0),
                         fx.vocab)
-    assert lb.total == pytest.approx(-(lb.reconstruction - lb.kl), abs=1e-9)
+    assert loss.total.item() == pytest.approx(-(loss.reconstruction[0] - loss.kl[0]),
+                                              abs=1e-9)
 
 
 def test_pure_oracle_path_never_samples():
     fx = build_loss_fixture()
-    [lb] = compute_loss(fx.model, [fx.prepared], fx.cfg, 0, np.random.default_rng(3),
+    loss = compute_loss(fx.model, [fx.prepared], fx.cfg, 0, np.random.default_rng(3),
                         fx.vocab)  # k=0 -> epsilon=1
-    assert lb.epsilon == 1.0
-    assert lb.sampled_steps == 0
-    assert lb.oracle_steps_used == len(fx.prepared.paragraph_ids)
+    assert loss.epsilon == 1.0
+    assert loss.sampled_steps == [0]
+    assert loss.oracle_steps_used == [len(fx.prepared.paragraph_ids)]
 
 
 def test_pure_sampling_path_never_uses_oracle():
     fx = build_loss_fixture()
-    [lb] = compute_loss(fx.model, [fx.prepared], fx.cfg, 10**9, np.random.default_rng(3),
+    loss = compute_loss(fx.model, [fx.prepared], fx.cfg, 10**9, np.random.default_rng(3),
                         fx.vocab)
-    assert lb.epsilon == 0.0
-    assert lb.oracle_steps_used == 0
-    assert lb.sampled_steps == len(fx.prepared.paragraph_ids)
+    assert loss.epsilon == 0.0
+    assert loss.oracle_steps_used == [0]
+    assert loss.sampled_steps == [len(fx.prepared.paragraph_ids)]
 
 
 def test_loss_deterministic_given_noise_stream():
     fx = build_loss_fixture()
-    [a] = compute_loss(fx.model, [fx.prepared], fx.cfg, 10**9, np.random.default_rng(5),
-                       fx.vocab)
-    [b] = compute_loss(fx.model, [fx.prepared], fx.cfg, 10**9, np.random.default_rng(5),
-                       fx.vocab)
-    assert a.total == b.total
+    a = compute_loss(fx.model, [fx.prepared], fx.cfg, 10**9, np.random.default_rng(5),
+                     fx.vocab)
+    b = compute_loss(fx.model, [fx.prepared], fx.cfg, 10**9, np.random.default_rng(5),
+                     fx.vocab)
+    assert a.total.item() == b.total.item()
 
 
 def test_plan_paragraph_length_mismatch_is_data_error():
@@ -228,14 +230,14 @@ def straight_line_loss(model, pg, cfg, k, rng, vocab):
 @pytest.mark.parametrize("k", [0, 10**9])  # oracle path and sampled path
 def test_loss_matches_straight_line_recomposition(k):
     fx = build_loss_fixture()
-    [lb] = compute_loss(fx.model, [fx.prepared], fx.cfg, k,
+    loss = compute_loss(fx.model, [fx.prepared], fx.cfg, k,
                         np.random.default_rng(42), fx.vocab)
     recon, kl, sup, total, _ = straight_line_loss(
         fx.model, fx.prepared, fx.cfg, k, np.random.default_rng(42), fx.vocab)
-    assert lb.reconstruction == pytest.approx(recon, abs=1e-9)
-    assert lb.kl == pytest.approx(kl, abs=1e-9)
-    assert lb.supervision == pytest.approx(sup, abs=1e-9)
-    assert lb.total == pytest.approx(total, abs=1e-9)
+    assert loss.reconstruction[0] == pytest.approx(recon, abs=1e-9)
+    assert loss.kl[0] == pytest.approx(kl, abs=1e-9)
+    assert loss.supervision[0] == pytest.approx(sup, abs=1e-9)
+    assert loss.total.item() == pytest.approx(total, abs=1e-9)
 
 
 @pytest.mark.parametrize("seed", [7, 8, 18, 21])
@@ -272,11 +274,11 @@ def per_token_loss(model, pg, cfg, k, rng, vocab):
 
 def _loss_and_grads(model, loss_fn):
     named = model.named()
-    with ad.graph_scope() as g:
+    with ad.graph_scope():
         model.zero_grad()
         parts, total = loss_fn()
-        ad.backward(total, g)
-    return parts, {k: t.grad_matrix().copy() for k, t in named.items()}
+        ad.backward(total)
+    return parts, {k: t.grad.copy() for k, t in named.items()}
 
 
 @pytest.mark.parametrize("hidden", [4, 8])
@@ -285,9 +287,10 @@ def test_batched_reconstruction_matches_per_token_decoding(hidden, k):
     fx = build_loss_fixture(hidden=hidden)
 
     def batched():
-        [lb] = compute_loss(fx.model, [fx.prepared], fx.cfg, k, np.random.default_rng(42),
+        loss = compute_loss(fx.model, [fx.prepared], fx.cfg, k, np.random.default_rng(42),
                             fx.vocab)
-        return [lb.reconstruction, lb.kl, lb.supervision, lb.total], lb.total_tensor
+        return [loss.reconstruction[0], loss.kl[0], loss.supervision[0],
+                loss.total.item()], loss.total
 
     parts, grads = _loss_and_grads(fx.model, batched)
     ref_parts, ref_grads = _loss_and_grads(fx.model, lambda: per_token_loss(
@@ -330,14 +333,12 @@ def test_toy_update_backward_frees_the_tape_as_it_walks_it():
     tracemalloc.start()
     try:
         with ad.graph_scope() as g:
-            losses = compute_loss(model, prepared, TrainConfig(), 250,
-                                  np.random.default_rng(0), vocab)
-            total = losses[0].total_tensor
-            for lb in losses[1:]:
-                total = ad.add(total, lb.total_tensor)
+            loss = compute_loss(model, prepared, TrainConfig(), 250,
+                                np.random.default_rng(0), vocab)
+            total = ad.sum_(loss.total)
             after_forward = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            ad.backward(total, g)
+            ad.backward(total)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -367,17 +368,20 @@ def test_ragged_update_matches_one_game_at_a_time(k):
     def run(batched):
         rng = np.random.default_rng(11)
         named = model.named()
-        with ad.graph_scope() as g:
+        with ad.graph_scope():
             model.zero_grad()
             if batched:
-                losses = compute_loss(model, prepared, cfg, k, rng, vocab)
+                losses = [compute_loss(model, prepared, cfg, k, rng, vocab)]
             else:
-                losses = [compute_loss(model, [pg], cfg, k, rng, vocab)[0] for pg in prepared]
-            mean = ad.mul(ad.add(ad.add(losses[0].total_tensor, losses[1].total_tensor),
-                                 losses[2].total_tensor), ad.const([[1.0 / 3.0]]))
-            ad.backward(mean, g)
-        grads = {name: t.grad_matrix().copy() for name, t in named.items()}
-        return losses, grads, rng.bit_generator.state
+                losses = [compute_loss(model, [pg], cfg, k, rng, vocab) for pg in prepared]
+            totals = ad.concat([loss.total for loss in losses], axis=0)
+            ad.backward(ad.mul(ad.sum_(totals), ad.const(1.0 / 3.0)))
+        # per game: reconstruction, kl, supervision, total, oracle and sampled steps
+        rows = [row for loss in losses for row in zip(
+            loss.reconstruction, loss.kl, loss.supervision, loss.total.data[:, 0],
+            loss.oracle_steps_used, loss.sampled_steps)]
+        grads = {name: t.grad.copy() for name, t in named.items()}
+        return rows, grads, rng.bit_generator.state
 
     with ad.no_grad():
         chosen = [plan_walk(model, prepared, scheduled_sampling_rate(k, cfg.decay_slope),
@@ -388,14 +392,14 @@ def test_ragged_update_matches_one_game_at_a_time(k):
     assert chosen[0] == chosen[1]
     assert [len(c) for c in chosen[0]] == [4, 2, 4]
 
-    losses, grads, state = run(batched=True)
-    ref_losses, ref_grads, ref_state = run(batched=False)
+    rows, grads, state = run(batched=True)
+    ref_rows, ref_grads, ref_state = run(batched=False)
     assert state == ref_state
-    for got, want in zip(losses, ref_losses):
-        for part in ("reconstruction", "kl", "supervision", "total"):
-            assert abs(getattr(got, part) - getattr(want, part)) <= 1e-12 * abs(getattr(want, part))
-        assert (got.oracle_steps_used, got.sampled_steps) == (want.oracle_steps_used,
-                                                              want.sampled_steps)
+    assert len(rows) == len(ref_rows) == 3
+    for got, want in zip(rows, ref_rows):
+        for part, ref in zip(got[:4], want[:4]):
+            assert abs(part - ref) <= 1e-12 * abs(ref)
+        assert got[4:] == want[4:]
     for name, want in ref_grads.items():
         assert np.linalg.norm(grads[name] - want) <= 1e-12 * np.linalg.norm(want), name
 

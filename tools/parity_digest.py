@@ -111,11 +111,11 @@ def loss_gradients() -> dict[str, str]:
     for hidden in (4, 8):
         fx = harness.build_loss_fixture(hidden=hidden)
         named = fx.model.named()
-        with ad.graph_scope() as g:
+        with ad.graph_scope():
             loss = fx.loss()
-            ad.backward(loss, g)
+            ad.backward(loss)
         out[f"grads.h{hidden}"] = sha(loss.data.tobytes(), *(
-            k.encode() + named[k].grad_matrix().tobytes() for k in sorted(named)))
+            k.encode() + named[k].grad.tobytes() for k in sorted(named)))
     return out
 
 
