@@ -426,29 +426,6 @@ def gather_last(a: Tensor, indices) -> Tensor:
     return _make("gather_last", (a,), data, bw)
 
 
-def scatter_cols(weights: Tensor, ids, size: int) -> Tensor:
-    """Add the weights of every row into ``size`` columns: out[..., v] sums
-    weights[..., j] over the j with ids[j] == v, in order of j, so repeated
-    ids add up.  One row of ``ids`` serves every weight row, and ids index
-    columns as numpy indices do (as in :func:`take_rows`, a negative id
-    counts from the end); the backward is the gather g[..., ids]."""
-    w = weights.data
-    ids = np.asarray(ids, dtype=np.intp)
-    if ids.shape != w.shape[-1:]:
-        raise ShapeError(f"scatter_cols: ids {ids.shape} do not fit weights {w.shape}")
-    data = np.zeros(w.shape[:-1] + (size,))
-    try:
-        np.add.at(data, (..., ids), w)
-    except IndexError:
-        raise ShapeError(f"scatter_cols: ids past the end of {size} columns") from None
-
-    def bw(g):
-        if weights.requires_grad:
-            weights._accumulate(g[..., ids])
-
-    return _make("scatter_cols", (weights,), data, bw)
-
-
 def _lstm_gate_grads(dh, dc, i, f, g, o, tc, c_in, dgates) -> np.ndarray:
     """One LSTM step's backward: the gate gradients into ``dgates`` from
     those reaching h' and c' (``dh``, ``dc``; None for none, and then the
@@ -462,6 +439,18 @@ def _lstm_gate_grads(dh, dc, i, f, g, o, tc, c_in, dgates) -> np.ndarray:
     dgates[..., hid:2 * hid] = (dc * c_in) * f * (1.0 - f)
     dgates[..., 2 * hid:3 * hid] = (dc * i) * (1.0 - g * g)
     return dc * f
+
+
+def _lstm_gate_step(gates: np.ndarray, c: np.ndarray):
+    """The numpy arithmetic of one LSTM step from its (rows, 4H) gate
+    pre-activations and the entering c: returns the gates i, f, g, o, the
+    new c and tanh of it (h' is o * tanh(c'))."""
+    hid = c.shape[-1]
+    sig = _sigmoid(gates)
+    i, f, o = sig[:, :hid], sig[:, hid:2 * hid], sig[:, 3 * hid:]
+    g = np.tanh(gates[:, 2 * hid:3 * hid])
+    c2 = f * c + i * g
+    return i, f, g, o, c2, np.tanh(c2)
 
 
 def lstm_cell(x: Tensor, h: Tensor, c: Tensor, wx: Tensor, wh: Tensor,
@@ -481,11 +470,7 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor, wx: Tensor, wh: Tensor,
         raise ShapeError(f"lstm_cell: x {x.shape}, h {h.shape}, c {c.shape} do not fit "
                          f"wx {wx.shape}, wh {wh.shape}")
     gates = (x.data @ wx.data + h.data @ wh.data) + b.data
-    sig = _sigmoid(gates)
-    i, f, o = sig[:, :hid], sig[:, hid:2 * hid], sig[:, 3 * hid:]
-    g = np.tanh(gates[:, 2 * hid:3 * hid])
-    c2 = f * c.data + i * g
-    tc = np.tanh(c2)
+    i, f, g, o, c2, tc = _lstm_gate_step(gates, c.data)
     track = _tracking((x, h, c, wx, wh, b))
     h_out = Tensor(o * tc, requires_grad=track)
     c_out = Tensor(c2, requires_grad=track)
@@ -649,13 +634,17 @@ def lstm_lockstep(x: Tensor, h0: Tensor, c0: Tensor, directions: Sequence[LSTMDi
 # normalizers / sampling
 
 
+def _softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """The numpy arithmetic of :func:`softmax`; NumericError on NaN or infinity."""
+    if not np.isfinite(x).all():
+        raise NumericError("softmax input contains NaN or infinity")
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Max-subtracted softmax along ``axis``; entries sum to 1 within 1e-9."""
-    if not np.isfinite(a.data).all():
-        raise NumericError("softmax input contains NaN or infinity")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
+    data = _softmax(a.data, axis)
 
     def bw(g):
         if a.requires_grad:

@@ -150,7 +150,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         loss_txt = f"{loss:.3f}" if loss is not None else "-"
         print(f"epoch {epoch}: batch loss {loss_txt}, valid plan accuracy {acc:.3f}")
 
-    result = train(schema, train_games, valid_games, cfg, progress=progress)
+    result = train(schema, train_games, valid_games, cfg, progress=progress,
+                   decode=_build_config(inference.DecodeConfig, args))
     extra = {"profile": args.profile or "toy", "schema": schema.name,
              "seed": cfg.seed, "epochs": cfg.epochs}
     save_checkpoint(args.checkpoint, result.model, result.vocab, result.bins,

@@ -8,9 +8,14 @@ distribution gated by sigmoid(copy(s_i)).  Copy mass lands only on
 vocabulary ids of the plan's real tokens; the pseudo-token's attention
 weight is excluded and the remainder renormalized.
 
-Everything after LSTM_gen is row-wise, so :func:`output_distribution`
-scores many decoder states at once: the teacher-forced states of a whole
-paragraph in training, and every live hypothesis of a beam-search step.
+Training scores teacher-forced paragraphs on the tape: one LSTM_gen
+recurrence, then :func:`output_distribution` at the target ids.  Free-running
+decoding (:func:`decode_step`, every live hypothesis of a beam-search step
+as one row) records nothing: it is plain numpy, and what stays fixed through
+a paragraph -- the text-context part of LSTM_gen's input projection and the
+attention terms that do not depend on the step -- is computed once per
+paragraph (the precomputed input projection of Appleyard et al. 2016, and
+the step-independent attention terms of Bahdanau et al. 2015).
 """
 
 from __future__ import annotations
@@ -20,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ParameterError, Tensor
+from .autodiff import ParameterError, ShapeError, Tensor
 from .corpus import DataError, Vocab
-from .encoders import EncoderParams, LSTMParams, _uniform, lstm_cell
+from .encoders import EncoderParams, LSTMParams, _uniform
 
 
 @dataclass
@@ -60,11 +65,25 @@ class DecoderParams:
 
 
 @dataclass
+class StepConstants:
+    """What a free-running step reads that stays fixed through a paragraph,
+    built for one plan and one text state ``h_y`` (the object, not its
+    values).  V is the vocabulary size and E the embedding width."""
+
+    h_y: Tensor                    # (1, 2H): the text state these were built for
+    ctx_row: np.ndarray            # (1, 4 * 2H): h_y @ wx[E:] + b of LSTM_gen
+    h_cols: np.ndarray             # (2H, P + 1 + V + 1): [attn_w @ keys | ff_w[:2H] | copy_w]
+    value_logits: np.ndarray       # (P + 1, V): attn_states @ ff_w[2H:]
+    ids: np.ndarray                # (P,): vocabulary ids of the plan tokens
+    distinct: bool                 # whether no id repeats
+
+
+@dataclass
 class DecoderState:
     """Recurrent state (one row per decoded sequence) plus the fixed
     attention inputs of S plans: the rows form S equal consecutive groups,
     group s attending to plan s.  Position 0 of a plan is the bin
-    pseudo-token."""
+    pseudo-token.  ``step_constants`` is filled by :func:`decode_step`."""
 
     h: Tensor                      # (rows, 2H)
     c: Tensor                      # (rows, 2H)
@@ -73,6 +92,7 @@ class DecoderState:
     attn_mask: np.ndarray | None   # (S, 1, P + 1): -1e9 past a padded plan's end
     plan_ids: np.ndarray           # (S, 1, P): vocabulary ids of the plan tokens
     vocab_size: int
+    step_constants: StepConstants | None = None
 
 
 def init_decoder(dec: DecoderParams, r_z: Tensor, bin_id: int, plan_token_states: Tensor,
@@ -123,13 +143,8 @@ def init_paragraph_decoders(dec: DecoderParams, r_z: Tensor, bin_ids: list[int],
 def decoder_inputs(enc: EncoderParams, prev_tokens, h_y: Tensor, rows=None) -> Tensor:
     """LSTM_gen inputs [emb(prev), h_y row], one per previous token: a list
     of tokens gives rows, a (B, T) id array a (B, T, E + 2H) batch.  Token
-    i reads row ``rows[i]`` of ``h_y``; by default, row i of an ``h_y``
-    with one row per token, else row 0."""
-    n = len(prev_tokens)
-    if rows is None and h_y.shape[0] == n:
-        context = h_y
-    else:
-        context = ad.take_rows(h_y, [0] * n if rows is None else rows)
+    i reads row ``rows[i]`` of ``h_y`` (row 0 by default)."""
+    context = ad.take_rows(h_y, [0] * len(prev_tokens) if rows is None else rows)
     return ad.concat([ad.take_rows(enc.emb, prev_tokens), context], axis=-1)
 
 
@@ -137,13 +152,11 @@ _ONE = ad.const([[1.0]])
 
 
 def output_distribution(dec: DecoderParams, h: Tensor, state: DecoderState,
-                        targets=None) -> Tensor:
-    """Next-token distributions over the vocabulary for the R decoder
-    states in the rows of ``h`` (R, 2H), R / S consecutive rows under each
-    of ``state``'s S plans.  Given one target id per row, only the target
-    probabilities, as an (R, 1) column, and the (R, V) copy distribution
-    and mixture are never formed; without targets, every row must share
-    one plan (S = 1)."""
+                        targets) -> Tensor:
+    """The probabilities of one target id per row, as an (R, 1) column, for
+    the R decoder states in the rows of ``h`` (R, 2H), R / S consecutive
+    rows under each of ``state``'s S plans.  The (R, V) copy distribution
+    and mixture are never formed."""
     query = ad.matmul(h, dec.attn_w)
     query = ad.reshape(query, (state.attn_states.shape[0], -1, query.shape[1]))
     scores = ad.matmul(query, state.attn_keys)
@@ -153,33 +166,72 @@ def output_distribution(dec: DecoderParams, h: Tensor, state: DecoderState,
     context = ad.reshape(ad.matmul(weights, state.attn_states), h.shape)
     token_w = ad.narrow(weights, -1, 1, state.plan_ids.shape[-1])
     token_w = ad.div(token_w, ad.sum_(token_w, axis=-1, keepdims=True))
-    if targets is None:
-        copy_probs = ad.scatter_cols(token_w, state.plan_ids.reshape(-1), state.vocab_size)
-    else:  # a target's copy mass is the weight of the plan positions holding it
-        targets = np.asarray(targets, dtype=np.intp)
-        hit = state.plan_ids == targets.reshape(token_w.shape[:-1] + (1,))
-        copy_probs = ad.sum_(ad.mul(token_w, ad.const(hit)), axis=-1, keepdims=True)
+    # a target's copy mass is the weight of the plan positions holding it
+    targets = np.asarray(targets, dtype=np.intp)
+    hit = state.plan_ids == targets.reshape(token_w.shape[:-1] + (1,))
+    copy_probs = ad.sum_(ad.mul(token_w, ad.const(hit)), axis=-1, keepdims=True)
     copy_probs = ad.reshape(copy_probs, (h.shape[0], -1))
 
     gen_logits = ad.add(ad.matmul(ad.concat([h, context], axis=1), dec.ff_w), dec.ff_b)
-    gen_probs = ad.softmax(gen_logits, axis=-1)
-    if targets is not None:
-        gen_probs = ad.gather_last(gen_probs, targets)
+    gen_probs = ad.gather_last(ad.softmax(gen_logits, axis=-1), targets)
     gate = ad.sigmoid(ad.add(ad.matmul(h, dec.copy_w), dec.copy_b))
     keep = ad.sub(_ONE, gate)
     return ad.add(ad.mul(gen_probs, keep), ad.mul(copy_probs, gate))
 
 
+def _step_constants(dec: DecoderParams, enc: EncoderParams, state: DecoderState,
+                    h_y_prev: Tensor) -> StepConstants:
+    if state.attn_states.shape[0] != 1 or state.attn_mask is not None or h_y_prev.shape[0] != 1:
+        raise ShapeError(f"decode_step needs one unpadded plan and one text state row, got "
+                         f"{state.attn_states.shape[0]} plans and {h_y_prev.shape[0]} rows")
+    two_h, lstm, ff_w = state.h.shape[1], dec.lstm_gen, dec.ff_w.data
+    ids = state.plan_ids.reshape(-1)
+    return StepConstants(
+        h_y=h_y_prev,
+        ctx_row=h_y_prev.data @ lstm.wx.data[enc.embed_dim:] + lstm.b.data,
+        h_cols=np.concatenate([dec.attn_w.data @ state.attn_keys.data[0], ff_w[:two_h],
+                               dec.copy_w.data], axis=1),
+        value_logits=state.attn_states.data[0] @ ff_w[two_h:],
+        ids=ids, distinct=len(set(ids.tolist())) == ids.size)
+
+
 def decode_step(dec: DecoderParams, enc: EncoderParams, prev_tokens: int | list[int],
                 state: DecoderState, h_y_prev: Tensor) -> tuple[Tensor, DecoderState]:
-    """One teacher-forced or free-running step for one token, or for a list
-    of tokens with one per row of ``state``; returns the next-token
-    distributions (one row per token) and the advanced state."""
+    """One free-running step for one token, or for a list of tokens with one
+    per row of ``state``, all under its one plan and the (1, 2H) text state
+    ``h_y_prev``; returns the next-token distributions (one row per token)
+    and the advanced state, as constants: nothing goes on the tape.
+
+    The arithmetic is :func:`output_distribution`'s, reassociated so that
+    the terms fixed through a paragraph are computed on the first call for
+    a state and carried in the states it returns, for as long as the same
+    ``h_y_prev`` object is passed."""
+    consts = state.step_constants
+    if consts is None or consts.h_y is not h_y_prev:
+        consts = _step_constants(dec, enc, state, h_y_prev)
     rows = [prev_tokens] if isinstance(prev_tokens, (int, np.integer)) else prev_tokens
-    h, c = lstm_cell(dec.lstm_gen, decoder_inputs(enc, rows, h_y_prev), state.h, state.c)
-    return output_distribution(dec, h, state), DecoderState(
-        h=h, c=c, attn_states=state.attn_states, attn_keys=state.attn_keys,
-        attn_mask=state.attn_mask, plan_ids=state.plan_ids, vocab_size=state.vocab_size)
+    lstm = dec.lstm_gen
+    gates = enc.emb.data[rows] @ lstm.wx.data[:enc.embed_dim] + state.h.data @ lstm.wh.data
+    gates += consts.ctx_row
+    _, _, _, o, c, tc = ad._lstm_gate_step(gates, state.c.data)
+    h = o * tc
+    positions = consts.value_logits.shape[0]
+    h_out = h @ consts.h_cols
+    weights = ad._softmax(h_out[:, :positions])
+    gen = ad._softmax((h_out[:, positions:-1] + weights @ consts.value_logits) + dec.ff_b.data)
+    gate = ad._sigmoid(h_out[:, -1:] + dec.copy_b.data)
+    token_w = weights[:, 1:]
+    token_w = token_w / token_w.sum(axis=1, keepdims=True)
+    copy = np.zeros_like(gen)
+    if consts.distinct:
+        copy[:, consts.ids] = token_w
+    else:  # repeated ids add up, in id order
+        np.add.at(copy, (slice(None), consts.ids), token_w)
+    probs = gen * (1.0 - gate) + copy * gate
+    return Tensor(probs), DecoderState(
+        h=Tensor(h), c=Tensor(c), attn_states=state.attn_states, attn_keys=state.attn_keys,
+        attn_mask=state.attn_mask, plan_ids=state.plan_ids, vocab_size=state.vocab_size,
+        step_constants=consts)
 
 
 # Per-step allowance for log-probabilities above 0: a copy entry can sum
@@ -221,15 +273,12 @@ def generate_paragraph(dec: DecoderParams, enc: EncoderParams, r_z: Tensor,
         eos = vocab.eos_id
         live = [(0.0, (), 0)]
         finished: list[tuple[float, tuple[int, ...]]] = []
-        contexts = {1: h_y_prev}  # h_y_prev once per live hypothesis, by count
         for step in range(max_len):
             rows = [row for _, _, row in live]
             if rows != list(range(state.h.shape[0])):
                 state.h, state.c = ad.take_rows(state.h, rows), ad.take_rows(state.c, rows)
-            if len(live) not in contexts:
-                contexts[len(live)] = ad.take_rows(h_y_prev, [0] * len(live))
             prev = [tokens[-1] if tokens else vocab.bos_id for _, tokens, _ in live]
-            probs, state = decode_step(dec, enc, prev, state, contexts[len(live)])
+            probs, state = decode_step(dec, enc, prev, state, h_y_prev)
             log_probs = np.log(np.maximum(probs.data, 1e-300))
             orders = np.argsort(-log_probs, axis=1, kind="stable")[:, : beam_size + 1]
             tops = log_probs[np.arange(len(live))[:, None], orders].tolist()

@@ -176,14 +176,6 @@ def primitive_grad_checks(seed: int = 3) -> dict[str, float]:
         lambda: ad.sum_(ad.mul(ad.lstm_lockstep(*seq[:3], reversed_seq, ragged), seq_mix)),
         seq)
 
-    # one plan of 4 ids over 6 columns, shared by 2 x 3 rows; it repeats id 2
-    sw = ad.param(rand((2, 3, 4)))
-    scatter_ids = np.array([2, 5, 2, 0])
-    scatter_mix = ad.const(rand((2, 3, 6)))
-    results["scatter_cols"] = ad.grad_check(
-        lambda: ad.sum_(ad.mul(ad.scatter_cols(ad.tanh(sw), scatter_ids, 6), scatter_mix)),
-        [sw])
-
     # both directions in lockstep over the same ragged rows, as the BiLSTM
     # runs them; the shared h0 and c0 get gradients from both
     bi = [ad.param(rand(shape)) for shape in ((3, 4, 3), (3, 2), (3, 2))]

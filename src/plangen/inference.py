@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -99,7 +99,7 @@ def generate_document(model, pool: PlanPool, ext_plan_tokens: list[list[int]],
         paragraphs: list[list[str]] = []
         truncated: list[bool] = []
         terminated = False
-        while len(steps) < cfg.max_paragraphs:
+        while True:  # until EOP wins or the paragraph cap is reached
             prior = prior_plan_distribution(model.planner, state.h_z, state.h_y,
                                             pool_enc.pooled)
             masked = apply_blocking(steps, prior.probs.data[0], cfg, eop_index)
@@ -115,6 +115,8 @@ def generate_document(model, pool: PlanPool, ext_plan_tokens: list[list[int]],
             steps.append(choice)
             paragraphs.append(vocab.decode(token_ids))
             truncated.append(was_truncated)
+            if len(steps) == cfg.max_paragraphs:
+                break  # the cap: no prior reads the states past the last paragraph
             r_y = encode_paragraphs(model.encoder, [token_ids]).pooled
             state = step_text_state(model.encoder, r_y, state)
             state = step_plan_state(model.encoder, pool_enc.plan_vector(choice), state)
@@ -133,9 +135,11 @@ def observed_bin_modes(prepared) -> dict[str, int]:
             for kind, counts in tallies.items()}
 
 
-def greedy_bleu(model, prepared, vocab: Vocab, bin_policy: dict[str, int]) -> float:
-    """Corpus BLEU of greedy (beam 1) generations against the gold summaries."""
-    cfg = DecodeConfig(beam_size=1, bin_policy=dict(bin_policy))
+def greedy_bleu(model, prepared, vocab: Vocab, bin_policy: dict[str, int],
+                decode: DecodeConfig | None = None) -> float:
+    """Corpus BLEU of greedy (beam 1) generations against the gold summaries,
+    under ``decode``'s caps and blocking (``DecodeConfig()``'s by default)."""
+    cfg = replace(decode or DecodeConfig(), beam_size=1, bin_policy=dict(bin_policy))
     cands = []
     for pg in prepared:
         result = generate_document(model, pg.pool, pg.ext_plan_tokens, vocab, cfg)
@@ -143,9 +147,11 @@ def greedy_bleu(model, prepared, vocab: Vocab, bin_policy: dict[str, int]) -> fl
     return bleu(cands, [pg.game.document.all_tokens() for pg in prepared])
 
 
-def tune_bins(model, prepared_valid, vocab: Vocab) -> dict[str, int]:
-    """Pick the bin maximizing validation BLEU per plan kind (greedy decode,
-    one coordinate-ascent pass in fixed kind order, ties to the lower bin).
+def tune_bins(model, prepared_valid, vocab: Vocab,
+              decode: DecodeConfig | None = None) -> dict[str, int]:
+    """Pick the bin maximizing validation BLEU per plan kind (greedy decode
+    under ``decode``'s caps and blocking, one coordinate-ascent pass in
+    fixed kind order, ties to the lower bin).
     A kind's current bin keeps the policy the previous kind chose, so its
     score is carried over rather than decoded again."""
     policy = observed_bin_modes(prepared_valid)
@@ -154,7 +160,7 @@ def tune_bins(model, prepared_valid, vocab: Vocab) -> dict[str, int]:
     score = None  # the BLEU of ``policy`` once a pass has decoded it
     for kind in sorted(policy):
         scores = [score if score is not None and b == policy[kind]
-                  else greedy_bleu(model, prepared_valid, vocab, {**policy, kind: b})
+                  else greedy_bleu(model, prepared_valid, vocab, {**policy, kind: b}, decode)
                   for b in range(model.config.bins)]
         policy[kind] = scores.index(max(scores))  # ties go to the lower bin
         score = scores[policy[kind]]

@@ -443,10 +443,12 @@ class TrainResult:
 
 
 def train(schema: Schema, train_games: list[Game], valid_games: list[Game],
-          cfg: TrainConfig, progress=None) -> TrainResult:
+          cfg: TrainConfig, progress=None, *,
+          decode: inference.DecodeConfig | None = None) -> TrainResult:
     """Full optimization with summary-level batches, gradient clipping, and
     best-validation-accuracy checkpoint retention (BLEU tiebreak, greedy
-    decoding).  Deterministic given the seed."""
+    decoding).  Validation decodes with beam 1 under ``decode``'s caps and
+    blocking (``DecodeConfig()``'s by default).  Deterministic given the seed."""
     rng = np.random.default_rng(cfg.seed)
     vocab = build_vocab(train_games, schema, cfg.min_count)
     lengths = [len(p) for g in train_games for p in g.document.paragraphs]
@@ -467,7 +469,7 @@ def train(schema: Schema, train_games: list[Game], valid_games: list[Game],
         keep = model.snapshot()
         model.restore(params_snapshot)
         score = inference.greedy_bleu(model, prepared_valid, vocab,
-                                      inference.observed_bin_modes(prepared_valid))
+                                      inference.observed_bin_modes(prepared_valid), decode)
         model.restore(keep)
         return score
 
@@ -519,7 +521,7 @@ def train(schema: Schema, train_games: list[Game], valid_games: list[Game],
 
     assert best is not None
     model.restore(best["params"])
-    tuned = inference.tune_bins(model, prepared_valid, vocab)
+    tuned = inference.tune_bins(model, prepared_valid, vocab, decode)
     return TrainResult(model=model, vocab=vocab, bins=bins, tuned_bins=tuned,
                        history=history, best_epoch=best["epoch"],
                        best_accuracy=best["accuracy"])

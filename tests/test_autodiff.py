@@ -398,39 +398,6 @@ def test_take_rows_backward_is_bitwise_add_at():
 
 
 # ---------------------------------------------------------------------------
-# scatter_cols
-
-
-SCATTER_IDS = {
-    "distinct": np.array([4, 1, 0]),
-    "repeated": np.array([2, 5, 2]),  # a plan that repeats a token id
-}
-
-
-@pytest.mark.parametrize("case", sorted(SCATTER_IDS))
-@pytest.mark.parametrize("shape", [(4, 3), (2, 4, 3)], ids=["rows", "groups"])
-def test_scatter_cols_matches_one_hot_matmul_and_grad_checks(case, shape):
-    ids = SCATTER_IDS[case]
-    rng = np.random.default_rng(12)
-    w = ad.param(rng.uniform(-1.0, 1.0, shape))
-    one_hot = np.zeros((len(ids), 6))
-    one_hot[np.arange(len(ids)), ids] = 1.0
-    assert np.allclose(ad.scatter_cols(w, ids, 6).data, w.data @ one_hot, rtol=0, atol=1e-15)
-    mix = ad.const(rng.uniform(-1.0, 1.0, shape[:-1] + (6,)))
-    err = ad.grad_check(lambda: ad.sum_(ad.mul(ad.scatter_cols(ad.tanh(w), ids, 6), mix)),
-                        [w])
-    assert err < 1e-8
-
-
-def test_scatter_cols_rejects_ids_that_do_not_fit():
-    w = ad.param(np.ones((2, 3)))
-    with pytest.raises(ad.ShapeError, match="past the end"):
-        ad.scatter_cols(w, [0, 1, 6], 6)
-    with pytest.raises(ad.ShapeError, match="do not fit"):
-        ad.scatter_cols(w, [0, 1], 6)
-
-
-# ---------------------------------------------------------------------------
 # grad_check harness
 
 

@@ -384,6 +384,40 @@ def test_profiles_fix_documented_defaults():
     assert not cli.PROFILES["rotowire-like"]["block_plan_bigrams"]
 
 
+def test_train_validates_under_the_profiles_decode_settings(tmp_path, workdir, monkeypatch):
+    # bin tuning and the BLEU tie-break decode with beam 1 under the
+    # profile's caps and blocking, not under DecodeConfig()'s
+    from plangen import inference
+
+    real, seen = inference.generate_document, []
+
+    def recording(model, pool, ext_plan_tokens, vocab, cfg):
+        seen.append(cfg)
+        return real(model, pool, ext_plan_tokens, vocab, cfg)
+
+    monkeypatch.setattr(inference, "generate_document", recording)
+    data = workdir / "data"
+    rc = main(["train", "--profile", "rotowire-like",
+               "--schema", str(data / "schema.json"),
+               "--train", str(data / "train.jsonl"),
+               "--valid", str(data / "valid.jsonl"),
+               "--checkpoint", str(tmp_path / "m.ckpt"),
+               "--hidden", "4", "--embed", "4", "--epochs", "1", "--seed", "2"])
+    assert rc == 0
+    assert seen
+    for cfg in seen:
+        assert (cfg.beam_size, cfg.max_paragraphs, cfg.max_paragraph_len) == (1, 15, 120)
+        assert not cfg.block_plan_bigrams and not cfg.block_consecutive_unigram
+        assert cfg.max_unigram_repeats is None
+
+
+def test_toy_profile_decodes_with_the_decode_config_defaults():
+    defaults = cli.inference.DecodeConfig()
+    for name, value in cli.PROFILES["toy"].items():
+        if hasattr(defaults, name):
+            assert getattr(defaults, name) == value, name
+
+
 def test_grad_check_command_exits_zero():
     assert main(["grad-check", "--hidden", "3"]) == 0
 

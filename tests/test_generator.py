@@ -10,12 +10,15 @@ import pytest
 from plangen import autodiff as ad
 from plangen import generator
 from plangen.corpus import DataError, Vocab
-from plangen.encoders import EncoderParams, encode_plan
+from plangen.encoders import EncoderParams, encode_plan, encode_pool, lstm_cell
 from plangen.generator import (
     DecoderParams,
     decode_step,
+    decoder_inputs,
     generate_paragraph,
     init_decoder,
+    init_paragraph_decoders,
+    output_distribution,
 )
 
 HID = 4
@@ -163,8 +166,11 @@ def test_gradient_flows_from_likelihood_to_plan_token_embeddings(model, vocab):
         r_z, states = _plan(enc, plan_ids)
         h_y = ad.zeros((1, TWO_H))
         state = init_decoder(dec, r_z, 0, states, plan_ids, len(vocab))
-        probs, _ = decode_step(dec, enc, vocab.bos_id, state, h_y)
-        loss = ad.neg(ad.log(ad.gather_last(probs, [vocab.id("7")])))
+        # the ops training differentiates: LSTM_gen, then the target's probability
+        h, _ = lstm_cell(dec.lstm_gen, decoder_inputs(enc, [vocab.bos_id], h_y),
+                         state.h, state.c)
+        probs = output_distribution(dec, h, state, [vocab.id("7")])
+        loss = ad.neg(ad.log(probs))
         ad.backward(loss)
     for tok in plan_ids:
         assert np.any(enc.emb.grad[tok] != 0)
@@ -356,3 +362,60 @@ def test_decode_step_rows_match_single_token_steps(model, vocab):
         p1, s1 = decode_step(dec, enc, tok, one, h_y)
         assert np.allclose(probs.data[r], p1.data[0], rtol=1e-12, atol=1e-15)
         assert np.allclose(advanced.h.data[r], s1.h.data[0], rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("plan", [[7, 8, 9], [7, 8, 7]], ids=["distinct", "repeated"])
+@pytest.mark.parametrize("bin_id", [0, 2])
+@pytest.mark.parametrize("n_rows", [1, 5])
+def test_decode_step_matches_the_teacher_forced_scorer(model, vocab, plan, bin_id, n_rows):
+    # the off-tape step reassociates the products of LSTM_gen and
+    # output_distribution; every target id must keep its probability
+    enc, dec = model
+    r_z, states = _plan(enc, plan)
+    rng = np.random.default_rng(17)
+    h_y = ad.const(rng.uniform(-1, 1, (1, TWO_H)))
+    state = replace(init_decoder(dec, r_z, bin_id, states, plan, len(vocab)),
+                    h=ad.const(rng.uniform(-1, 1, (n_rows, TWO_H))),
+                    c=ad.const(rng.uniform(-1, 1, (n_rows, TWO_H))))
+    prev = [int(t) for t in rng.integers(0, len(vocab), n_rows)]
+    probs, advanced = decode_step(dec, enc, prev, state, h_y)
+    v = len(vocab)
+    with ad.no_grad():
+        h_ref, c_ref = lstm_cell(dec.lstm_gen, decoder_inputs(enc, prev, h_y), state.h, state.c)
+        ref = output_distribution(dec, ad.const(np.repeat(advanced.h.data, v, axis=0)), state,
+                                  np.tile(np.arange(v), n_rows))
+    np.testing.assert_allclose(advanced.h.data, h_ref.data, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(advanced.c.data, c_ref.data, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(probs.data, ref.data.reshape(n_rows, v), rtol=1e-12, atol=0)
+    assert np.abs(probs.data.sum(axis=1) - 1.0).max() <= 1e-12
+    # a state carried under another text state is rebuilt for this one
+    _, carried = decode_step(dec, enc, prev, state, ad.const(rng.uniform(-1, 1, (1, TWO_H))))
+    again, _ = decode_step(dec, enc, prev, replace(carried, h=state.h, c=state.c), h_y)
+    assert again.data.tobytes() == probs.data.tobytes()
+
+
+def test_decode_step_records_nothing(model, vocab):
+    enc, dec = model
+    r_z, states = _plan(enc, [7, 8, 9])
+    state = init_decoder(dec, r_z, 0, states, [7, 8, 9], len(vocab))
+    h_y = ad.zeros((1, TWO_H))
+    with ad.graph_scope() as graph:
+        probs, state = decode_step(dec, enc, [vocab.bos_id, 7], state, h_y)
+        probs, state = decode_step(dec, enc, [8, 9], state, h_y)
+    assert graph.nodes == []
+    assert not (probs.requires_grad or state.h.requires_grad or state.c.requires_grad)
+
+
+def test_decode_step_rejects_several_or_padded_plans_or_text_states(model, vocab):
+    enc, dec = model
+    pe = encode_pool(enc, [[7, 8, 9], [7, 8]])
+    two = init_paragraph_decoders(dec, pe.pooled, [0, 1], pe.token_states,
+                                  [[7, 8, 9], [7, 8]], len(vocab))
+    padded = init_paragraph_decoders(dec, pe.plan_vector(1), [0],
+                                     ad.narrow(pe.token_states, 0, 1, 1), [[7, 8]], len(vocab))
+    one = init_decoder(dec, pe.plan_vector(0), 0, pe.plan_token_states(0), [7, 8, 9],
+                       len(vocab))
+    for state, h_y in ((two, ad.zeros((1, TWO_H))), (padded, ad.zeros((1, TWO_H))),
+                       (one, ad.zeros((2, TWO_H)))):
+        with pytest.raises(ad.ShapeError, match="one unpadded plan and one text state"):
+            decode_step(dec, enc, [vocab.bos_id] * state.h.shape[0], state, h_y)

@@ -154,6 +154,49 @@ def test_immediate_eop_gives_empty_document(trained, monkeypatch):
     assert out.plan.terminated
 
 
+def test_capped_document_encodes_no_paragraph_after_the_last(trained, monkeypatch):
+    # at the paragraph cap the loop ends before encoding the last paragraph
+    # and stepping the state LSTMs, which nothing would read
+    from plangen import autodiff as ad
+    from plangen import inference as inf
+    from plangen.planner import PlanDistribution
+
+    schema, games, result = trained
+    real_encode, real_prior, calls = inf.encode_paragraphs, inf.prior_plan_distribution, []
+
+    def counting(enc, paragraphs):
+        calls.append(len(paragraphs))
+        return real_encode(enc, paragraphs)
+
+    def eop_last_prior(pp, h_z, h_y, pool_encodings):
+        # the trained prior, with EOP made the least likely choice
+        probs = real_prior(pp, h_z, h_y, pool_encodings).probs.data.copy()
+        probs[0, -1] = 1e-9
+        probs /= probs.sum()
+        return PlanDistribution(probs=ad.const(probs), log_probs=ad.const(np.log(probs)))
+
+    monkeypatch.setattr(inf, "encode_paragraphs", counting)
+    monkeypatch.setattr(inf, "prior_plan_distribution", eop_last_prior)
+    capped_docs = 0
+    for game in games[22:]:
+        pg = prepare_game(game, schema, result.vocab, result.bins)
+        args = (result.model, pg.pool, pg.ext_plan_tokens, result.vocab)
+        full = generate_document(*args, DecodeConfig(beam_size=1,
+                                                     bin_policy=result.tuned_bins))
+        if len(full.plan.steps) < 2:
+            continue
+        calls.clear()
+        capped = generate_document(*args, DecodeConfig(max_paragraphs=2, beam_size=1,
+                                                       bin_policy=result.tuned_bins))
+        assert calls == [1]
+        assert capped.plan.steps == full.plan.steps[:2]
+        assert capped.paragraphs == full.paragraphs[:2]
+        assert capped.truncated_paragraphs == full.truncated_paragraphs[:2]
+        assert not capped.plan.terminated
+        capped_docs += 1
+    assert capped_docs > 0
+
+
 def test_tune_bins_decodes_each_policy_once_and_picks_as_rescoring_all(trained, monkeypatch):
     from plangen import inference as inf
 
@@ -161,9 +204,9 @@ def test_tune_bins_decodes_each_policy_once_and_picks_as_rescoring_all(trained, 
     prepared = [prepare_game(g, schema, result.vocab, result.bins) for g in games[22:]]
     real, scored = inf.greedy_bleu, []
 
-    def counting(model, prepared, vocab, bin_policy):
+    def counting(model, prepared, vocab, bin_policy, decode=None):
         scored.append(tuple(sorted(bin_policy.items())))
-        return real(model, prepared, vocab, bin_policy)
+        return real(model, prepared, vocab, bin_policy, decode)
 
     monkeypatch.setattr(inf, "greedy_bleu", counting)
     tuned = inf.tune_bins(result.model, prepared, result.vocab)

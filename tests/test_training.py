@@ -13,7 +13,8 @@ import pytest
 from plangen import autodiff as ad
 from plangen import synth
 from plangen.corpus import DataError, Document, MacroPlan, assign_length_bins, build_vocab
-from plangen.generator import decode_step, init_decoder
+from plangen.encoders import lstm_cell
+from plangen.generator import decoder_inputs, init_decoder, output_distribution
 from plangen.harness import TINY_SCHEMA, build_loss_fixture, tiny_game
 from plangen.planner import scheduled_sampling_rate
 from plangen.training import (
@@ -251,8 +252,9 @@ def test_plan_selection_accuracy_matches_straight_line_hits(seed):
 
 
 def per_token_loss(model, pg, cfg, k, rng, vocab):
-    """The earlier reconstruction, kept as the reference: one decode_step
-    per gold token, summed in token order; returns (parts, total tensor)."""
+    """The earlier reconstruction, kept as the reference: one LSTM_gen cell
+    and one output distribution per gold token, summed in token order;
+    returns (parts, total tensor)."""
     walk = plan_walk(model, [pg], scheduled_sampling_rate(k, cfg.decay_slope),
                      cfg.temperature, rng)
     recon = ad.const([[0.0]])
@@ -262,10 +264,12 @@ def per_token_loss(model, pg, cfg, k, rng, vocab):
         state = init_decoder(model.decoder, walk.pool_enc.plan_vector(plan), pg.bin_ids[t],
                              walk.pool_enc.plan_token_states(plan),
                              pg.ext_plan_tokens[plan], model.config.vocab_size)
-        prev = vocab.bos_id
+        prev, h, c = vocab.bos_id, state.h, state.c
         for target in tokens + [vocab.eos_id]:
-            probs, state = decode_step(model.decoder, model.encoder, prev, state, h_y_prev)
-            recon = ad.add(recon, ad.log(ad.gather_last(probs, [target])))
+            x = decoder_inputs(model.encoder, [prev], h_y_prev)
+            h, c = lstm_cell(model.decoder.lstm_gen, x, h, c)
+            probs = output_distribution(model.decoder, h, state, [target])
+            recon = ad.add(recon, ad.log(probs))
             prev = target
     total = ad.neg(ad.add(ad.sub(recon, walk.kl),
                           ad.mul(ad.const([[cfg.lam]]), walk.supervision)))
