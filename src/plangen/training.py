@@ -56,8 +56,8 @@ from .encoders import (
 from .generator import (
     DecoderParams,
     decoder_inputs,
-    init_paragraph_decoders,
     output_distribution,
+    plan_attention,
 )
 from .planner import (
     PlannerParams,
@@ -367,8 +367,8 @@ def _reconstruction(model: ModelParams, games: list[PreparedGame], walk: PlanWal
     lstm = dec.lstm_gen
     h = ad.lstm_lockstep(x, r_z, ad.zeros(r_z.shape),
                          [ad.LSTMDirection(lstm.wx, lstm.wh, lstm.b)])
-    state = init_paragraph_decoders(
-        dec, r_z, [games[g].bin_ids[t] for g, t in paras],
+    att = plan_attention(
+        dec, [games[g].bin_ids[t] for g, t in paras],
         ad.take_rows(walk.pool_enc.token_states, plans),
         [games[g].ext_plan_tokens[walk.chosen[g][t]] for g, t in paras],
         model.config.vocab_size)
@@ -381,7 +381,7 @@ def _reconstruction(model: ModelParams, games: list[PreparedGame], walk: PlanWal
         targets[s, :len(tokens)] = tokens
         per_game[g, s, :len(tokens)] = 1.0
     valid = np.flatnonzero(prev.mask)
-    probs = output_distribution(dec, ad.reshape(h, (n_paras * width, -1)), state,
+    probs = output_distribution(dec, ad.reshape(h, (n_paras * width, -1)), att,
                                 targets.reshape(-1))
     picked = ad.take_rows(probs, valid)
     return ad.matmul(ad.const(per_game.reshape(n_games, -1)[:, valid]), ad.log(picked))
@@ -448,7 +448,10 @@ def train(schema: Schema, train_games: list[Game], valid_games: list[Game],
     """Full optimization with summary-level batches, gradient clipping, and
     best-validation-accuracy checkpoint retention (BLEU tiebreak, greedy
     decoding).  Validation decodes with beam 1 under ``decode``'s caps and
-    blocking (``DecodeConfig()``'s by default).  Deterministic given the seed."""
+    blocking (``DecodeConfig()``'s by default).  Deterministic given the seed;
+    DataError without a validation game."""
+    if not valid_games:
+        raise DataError("training needs at least one validation game")
     rng = np.random.default_rng(cfg.seed)
     vocab = build_vocab(train_games, schema, cfg.min_count)
     lengths = [len(p) for g in train_games for p in g.document.paragraphs]
@@ -570,8 +573,9 @@ def _is_count(value, least: int = 1) -> bool:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint; a manifest field of the wrong type or range, or a
-    blob that does not fit it, raises DataError naming the path and field."""
+    """Read a checkpoint; a manifest field of the wrong type or range, a
+    blob that does not fit it or a non-finite parameter raises DataError
+    naming the path and field or tensor."""
     with open(path, "rb") as fh:
         header = fh.readline()
         try:
@@ -607,6 +611,8 @@ def load_checkpoint(path) -> Checkpoint:
             if offset + n * 8 > len(blob):
                 raise DataError(f"{path}: checkpoint blob ends inside tensor {k!r}")
             arr = np.frombuffer(blob, dtype="<f8", count=n, offset=offset).reshape(shape)
+            if not np.isfinite(arr).all():
+                raise DataError(f"{path}: checkpoint tensor {k!r} holds NaN or infinity")
             named[k].data[...] = arr
             offset += n * 8
         if offset != len(blob):

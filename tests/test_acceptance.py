@@ -106,9 +106,9 @@ def test_criterion_2_elbo_validity():
         worst_norm_gap = max(worst_norm_gap,
                              abs(float(pe.attn_weights.data.sum()) - 1.0))
         r_z, states = encode_plan(enc, toks)
-        st = init_decoder(dec, r_z, 0, states, toks, 20)
-        probs, _ = decode_step(dec, enc, 1, st, ad.zeros((1, 8)))
-        worst_norm_gap = max(worst_norm_gap, abs(float(probs.data.sum()) - 1.0))
+        para = init_decoder(dec, enc, 0, states, toks, ad.zeros((1, 8)), 20)
+        probs, _, _ = decode_step(dec, enc, para, [1], r_z.data, np.zeros((1, 8)))
+        worst_norm_gap = max(worst_norm_gap, abs(float(probs.sum()) - 1.0))
     assert worst_norm_gap <= 1e-8
     _report(2, f"min KL {min_kl:.2e} over 1000 draws; max normalization gap "
                f"{worst_norm_gap:.2e} (<= 1e-8)")

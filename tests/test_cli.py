@@ -262,6 +262,13 @@ def _checkpoint_missing_tensor(src: Path, dst: Path) -> None:
     dst.write_bytes(json.dumps(manifest).encode() + b"\n" + blob)
 
 
+def _nonfinite_checkpoint(src: Path, dst: Path) -> None:
+    header, _, blob = src.read_bytes().partition(b"\n")
+    floats = np.frombuffer(blob, dtype="<f8").copy()
+    floats[::97] = np.inf
+    dst.write_bytes(header + b"\n" + floats.tobytes())
+
+
 def _schema_missing_key(src: Path, dst: Path) -> None:
     obj = json.loads(src.read_text())
     del obj["team_marker"]
@@ -280,6 +287,8 @@ INPUT_FAULTS = {
                              "checkpoint blob ends inside tensor"),
     "checkpoint_missing_tensor": ("--checkpoint", _checkpoint_missing_tensor,
                                   "checkpoint manifest lacks 'enc.emb'"),
+    "nonfinite_checkpoint": ("--checkpoint", _nonfinite_checkpoint,
+                             "checkpoint tensor 'dec.attn_w' holds NaN or infinity"),
     "schema_missing_key": ("--schema", _schema_missing_key, "missing key 'team_marker'"),
     "schema_is_directory": ("--schema", _schema_is_directory, "Is a directory"),
 }

@@ -2,23 +2,21 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from plangen import autodiff as ad
 from plangen import generator
 from plangen.corpus import DataError, Vocab
-from plangen.encoders import EncoderParams, encode_plan, encode_pool, lstm_cell
+from plangen.encoders import EncoderParams, encode_plan, lstm_cell
 from plangen.generator import (
     DecoderParams,
     decode_step,
     decoder_inputs,
     generate_paragraph,
     init_decoder,
-    init_paragraph_decoders,
     output_distribution,
+    plan_attention,
 )
 
 HID = 4
@@ -43,11 +41,22 @@ def _plan(enc, tokens):
     return r_z, states
 
 
+def _attention(dec, bin_id, states, ids, vocab):
+    """The training-side attention inputs of one paragraph."""
+    return plan_attention(dec, [bin_id], ad.reshape(states, (1,) + states.shape), [ids],
+                          len(vocab))
+
+
+def _start(r_z, rows=1):
+    """LSTM_gen's state entering a paragraph: h = r_z, c = 0, for ``rows`` rows."""
+    return np.repeat(r_z.data, rows, axis=0), np.zeros((rows, r_z.shape[1]))
+
+
 def test_bin_conditioning_changes_attention_inputs(model, vocab):
     enc, dec = model
     r_z, states = _plan(enc, [7, 8, 9])
-    s0 = init_decoder(dec, r_z, 0, states, [7, 8, 9], len(vocab))
-    s1 = init_decoder(dec, r_z, 1, states, [7, 8, 9], len(vocab))
+    s0 = _attention(dec, 0, states, [7, 8, 9], vocab)
+    s1 = _attention(dec, 1, states, [7, 8, 9], vocab)
     assert not np.allclose(s0.attn_states.data[0, 0], s1.attn_states.data[0, 0])
     assert np.allclose(s0.attn_states.data[0, 1:], s1.attn_states.data[0, 1:])
 
@@ -57,55 +66,65 @@ def test_single_bin_reduces_to_unbinned_model(model, vocab):
     rng = np.random.default_rng(5)
     dec1 = DecoderParams.create(rng, len(vocab), HID, HID, bins=1)
     r_z, states = _plan(enc, [7, 8])
-    s = init_decoder(dec1, r_z, 0, states, [7, 8], len(vocab))
-    assert s.attn_states.shape == (1, 3, TWO_H)
+    assert _attention(dec1, 0, states, [7, 8], vocab).attn_states.shape == (1, 3, TWO_H)
+    h_y = ad.zeros((1, TWO_H))
+    assert init_decoder(dec1, enc, 0, states, [7, 8], h_y, len(vocab)).value_logits.shape == (
+        3, len(vocab))
     with pytest.raises(ad.ParameterError):
-        init_decoder(dec1, r_z, 1, states, [7, 8], len(vocab))
+        init_decoder(dec1, enc, 1, states, [7, 8], h_y, len(vocab))
 
 
 def test_init_decoder_rejects_empty_plan(model, vocab):
     enc, dec = model
-    r_z, states = _plan(enc, [7])
+    _, states = _plan(enc, [7])
+    h_y = ad.zeros((1, TWO_H))
     with pytest.raises(DataError):
-        init_decoder(dec, r_z, 0, states, [], len(vocab))
+        init_decoder(dec, enc, 0, states, [], h_y, len(vocab))
     for bad in (-1, len(vocab)):  # checked once per paragraph, not per step
         with pytest.raises(DataError, match="outside the vocabulary"):
-            init_decoder(dec, r_z, 0, states, [bad], len(vocab))
+            init_decoder(dec, enc, 0, states, [bad], h_y, len(vocab))
 
 
 def test_init_decoder_matches_primitive_recomposition(model, vocab):
     enc, dec = model
-    r_z, states = _plan(enc, [7, 8, 9])
-    s = init_decoder(dec, r_z, 2, states, [7, 8, 9], len(vocab))
-    expect = np.vstack([dec.bin_emb.data[2:3], states.data])
-    assert np.allclose(s.attn_states.data[0], expect, atol=1e-12)
-    assert np.allclose(s.h.data, r_z.data)
-    assert np.all(s.c.data == 0)
+    _, states = _plan(enc, [7, 8, 9])
+    h_y = ad.const(np.random.default_rng(6).uniform(-1, 1, (1, TWO_H)))
+    para = init_decoder(dec, enc, 2, states, [7, 8, 9], h_y, len(vocab))
+    attn = np.vstack([dec.bin_emb.data[2:3], states.data])
+    assert np.allclose(_attention(dec, 2, states, [7, 8, 9], vocab).attn_states.data[0], attn,
+                       atol=1e-12)
+    lstm, ff_w = dec.lstm_gen, dec.ff_w.data
+    assert np.allclose(para.ctx_row, h_y.data @ lstm.wx.data[HID:] + lstm.b.data, atol=1e-12)
+    assert np.allclose(para.h_cols, np.hstack([dec.attn_w.data @ attn.T, ff_w[:TWO_H],
+                                               dec.copy_w.data]), atol=1e-12)
+    assert np.allclose(para.value_logits, attn @ ff_w[TWO_H:], atol=1e-12)
+    assert para.ids.tolist() == [7, 8, 9] and para.distinct
 
 
 def test_decode_step_distribution_sums_to_one(model, vocab):
     enc, dec = model
     r_z, states = _plan(enc, [7, 8, 9])
     h_y = ad.const(np.random.default_rng(3).uniform(-1, 1, (1, TWO_H)))
-    state = init_decoder(dec, r_z, 0, states, [7, 8, 9], len(vocab))
-    probs, state2 = decode_step(dec, enc, vocab.bos_id, state, h_y)
+    para = init_decoder(dec, enc, 0, states, [7, 8, 9], h_y, len(vocab))
+    h, c = _start(r_z)
+    probs, h2, _ = decode_step(dec, enc, para, [vocab.bos_id], h, c)
     assert probs.shape == (1, len(vocab))
-    assert np.all(probs.data >= 0)
-    assert abs(probs.data.sum() - 1.0) < 1e-8
-    assert not np.array_equal(state2.h.data, state.h.data)
+    assert np.all(probs >= 0)
+    assert abs(probs.sum() - 1.0) < 1e-8
+    assert not np.array_equal(h2, h)
 
 
 def test_gate_off_gives_pure_generation_softmax(model, vocab):
     enc, dec = model
     r_z, states = _plan(enc, [7, 8])
     h_y = ad.zeros((1, TWO_H))
-    state = init_decoder(dec, r_z, 0, states, [7, 8], len(vocab))
+    para = init_decoder(dec, enc, 0, states, [7, 8], h_y, len(vocab))
     keep = dec.copy_b.data.copy()
     dec.copy_b.data[...] = -1e9  # force gate to 0
     try:
-        probs, _ = decode_step(dec, enc, vocab.bos_id, state, h_y)
+        probs, _, _ = decode_step(dec, enc, para, [vocab.bos_id], *_start(r_z))
         # recompute the generation softmax by hand from the step internals
-        gate_off_probs = probs.data.copy()
+        gate_off_probs = probs.copy()
     finally:
         dec.copy_b.data[...] = keep
     assert abs(gate_off_probs.sum() - 1.0) < 1e-9
@@ -119,14 +138,14 @@ def test_gate_on_singleton_plan_puts_all_mass_on_its_token(model, vocab):
     seven = vocab.id("7")
     r_z, states = _plan(enc, [seven])
     h_y = ad.zeros((1, TWO_H))
-    state = init_decoder(dec, r_z, 0, states, [seven], len(vocab))
+    para = init_decoder(dec, enc, 0, states, [seven], h_y, len(vocab))
     keep = dec.copy_b.data.copy()
     dec.copy_b.data[...] = 1e9  # force gate to 1
     try:
-        probs, _ = decode_step(dec, enc, vocab.bos_id, state, h_y)
+        probs, _, _ = decode_step(dec, enc, para, [vocab.bos_id], *_start(r_z))
     finally:
         dec.copy_b.data[...] = keep
-    assert probs.data[0, seven] == pytest.approx(1.0, abs=1e-9)
+    assert probs[0, seven] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_copy_mass_only_on_plan_token_ids(model, vocab):
@@ -134,16 +153,16 @@ def test_copy_mass_only_on_plan_token_ids(model, vocab):
     plan_ids = [vocab.id("7"), vocab.id("w")]
     r_z, states = _plan(enc, plan_ids)
     h_y = ad.zeros((1, TWO_H))
-    state = init_decoder(dec, r_z, 0, states, plan_ids, len(vocab))
+    para = init_decoder(dec, enc, 0, states, plan_ids, h_y, len(vocab))
     keep = dec.copy_b.data.copy()
     dec.copy_b.data[...] = 1e9
     try:
-        probs, _ = decode_step(dec, enc, vocab.bos_id, state, h_y)
+        probs, _, _ = decode_step(dec, enc, para, [vocab.bos_id], *_start(r_z))
     finally:
         dec.copy_b.data[...] = keep
     off_plan = [i for i in range(len(vocab)) if i not in plan_ids]
-    assert probs.data[0, off_plan].sum() < 1e-12
-    assert probs.data[0, plan_ids].sum() == pytest.approx(1.0, abs=1e-9)
+    assert probs[0, off_plan].sum() < 1e-12
+    assert probs[0, plan_ids].sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_mixture_arithmetic_oracle():
@@ -165,11 +184,11 @@ def test_gradient_flows_from_likelihood_to_plan_token_embeddings(model, vocab):
         enc.emb.zero_grad()
         r_z, states = _plan(enc, plan_ids)
         h_y = ad.zeros((1, TWO_H))
-        state = init_decoder(dec, r_z, 0, states, plan_ids, len(vocab))
+        att = _attention(dec, 0, states, plan_ids, vocab)
         # the ops training differentiates: LSTM_gen, then the target's probability
         h, _ = lstm_cell(dec.lstm_gen, decoder_inputs(enc, [vocab.bos_id], h_y),
-                         state.h, state.c)
-        probs = output_distribution(dec, h, state, [vocab.id("7")])
+                         r_z, ad.zeros(r_z.shape))
+        probs = output_distribution(dec, h, att, [vocab.id("7")])
         loss = ad.neg(ad.log(probs))
         ad.backward(loss)
     for tok in plan_ids:
@@ -183,12 +202,11 @@ def test_beam_one_equals_greedy_rollout(model, vocab):
     out, truncated = generate_paragraph(dec, enc, r_z, states, [7, 8, 9], 0, h_y,
                                         vocab, beam_size=1, max_len=8)
     # manual greedy chain
-    state = init_decoder(dec, r_z, 0, states, [7, 8, 9], len(vocab))
-    prev, chain = vocab.bos_id, []
+    para = init_decoder(dec, enc, 0, states, [7, 8, 9], h_y, len(vocab))
+    (h, c), prev, chain = _start(r_z), vocab.bos_id, []
     for step in range(8):
-        with ad.no_grad():
-            probs, state = decode_step(dec, enc, prev, state, h_y)
-        row = probs.data[0].copy()
+        probs, h, c = decode_step(dec, enc, para, [prev], h, c)
+        row = probs[0].copy()
         if step == 0:
             row[vocab.eos_id] = 0.0
         tok = int(np.argmax(row))
@@ -218,12 +236,11 @@ def test_beam_five_never_scores_below_beam_one(model, vocab):
     rng = np.random.default_rng(1234)
 
     def norm_score(tokens, r_z, states, ids, h_y):
-        state = init_decoder(dec, r_z, 0, states, ids, len(vocab))
-        prev, logp = vocab.bos_id, 0.0
+        para = init_decoder(dec, enc, 0, states, ids, h_y, len(vocab))
+        (h, c), prev, logp = _start(r_z), vocab.bos_id, 0.0
         for tok in list(tokens) + [vocab.eos_id]:
-            with ad.no_grad():
-                probs, state = decode_step(dec, enc, prev, state, h_y)
-            logp += float(np.log(max(probs.data[0, tok], 1e-300)))
+            probs, h, c = decode_step(dec, enc, para, [prev], h, c)
+            logp += float(np.log(max(probs[0, tok], 1e-300)))
             prev = tok
         return logp / (len(tokens) + 1)
 
@@ -298,30 +315,30 @@ def _per_hypothesis_beam(dec, enc, r_z, states, ids, bin_id, h_y, vocab, beam_si
                          max_len):
     """The earlier beam search, kept as the reference: one decode_step per
     live hypothesis, each holding its own state, and no early stop."""
-    with ad.no_grad():
-        live = [((), 0.0, init_decoder(dec, r_z, bin_id, states, ids, len(vocab)))]
-        finished = []
-        for step in range(max_len):
-            candidates = []
-            for tokens, log_prob, state in live:
-                prev = tokens[-1] if tokens else vocab.bos_id
-                probs, new_state = decode_step(dec, enc, prev, state, h_y)
-                row = np.log(np.maximum(probs.data[0], 1e-300))
-                for tok in np.argsort(-row, kind="stable")[: beam_size + 1]:
-                    tok = int(tok)
-                    if tok != vocab.eos_id:
-                        candidates.append((tokens + (tok,), log_prob + row[tok], new_state))
-                    elif step > 0:
-                        candidates.append((tokens, log_prob + row[tok], None))
-            candidates.sort(key=lambda cand: (-cand[1], cand[0]))
-            live = []
-            for cand in candidates:
-                if cand[2] is None:
-                    finished.append(cand)
-                elif len(live) < beam_size:
-                    live.append(cand)
-            if not live:
-                break
+    para = init_decoder(dec, enc, bin_id, states, ids, h_y, len(vocab))
+    live = [((), 0.0, _start(r_z))]
+    finished = []
+    for step in range(max_len):
+        candidates = []
+        for tokens, log_prob, (h, c) in live:
+            prev = tokens[-1] if tokens else vocab.bos_id
+            probs, h, c = decode_step(dec, enc, para, [prev], h, c)
+            row = np.log(np.maximum(probs[0], 1e-300))
+            for tok in np.argsort(-row, kind="stable")[: beam_size + 1]:
+                tok = int(tok)
+                if tok != vocab.eos_id:
+                    candidates.append((tokens + (tok,), log_prob + row[tok], (h, c)))
+                elif step > 0:
+                    candidates.append((tokens, log_prob + row[tok], None))
+        candidates.sort(key=lambda cand: (-cand[1], cand[0]))
+        live = []
+        for cand in candidates:
+            if cand[2] is None:
+                finished.append(cand)
+            elif len(live) < beam_size:
+                live.append(cand)
+        if not live:
+            break
     done = 1 if finished else 0
     best = max(finished or live,
                key=lambda cand: (cand[1] / max(len(cand[0]) + done, 1), cand[0]))
@@ -350,18 +367,16 @@ def test_decode_step_rows_match_single_token_steps(model, vocab):
     enc, dec = model
     r_z, states = _plan(enc, [7, 8, 9])
     h_y = ad.const(np.random.default_rng(8).uniform(-1, 1, (1, TWO_H)))
-    state = init_decoder(dec, r_z, 0, states, [7, 8, 9], len(vocab))
+    para = init_decoder(dec, enc, 0, states, [7, 8, 9], h_y, len(vocab))
     prev = [vocab.bos_id, 7, 11]
     rng = np.random.default_rng(9)
-    rows = replace(state, h=ad.const(rng.uniform(-1, 1, (3, TWO_H))),
-                   c=ad.const(rng.uniform(-1, 1, (3, TWO_H))))
-    probs, advanced = decode_step(dec, enc, prev, rows, h_y)
+    h, c = rng.uniform(-1, 1, (3, TWO_H)), rng.uniform(-1, 1, (3, TWO_H))
+    probs, h2, _ = decode_step(dec, enc, para, prev, h, c)
     assert probs.shape == (3, len(vocab))
     for r, tok in enumerate(prev):
-        one = replace(state, h=ad.narrow(rows.h, 0, r, 1), c=ad.narrow(rows.c, 0, r, 1))
-        p1, s1 = decode_step(dec, enc, tok, one, h_y)
-        assert np.allclose(probs.data[r], p1.data[0], rtol=1e-12, atol=1e-15)
-        assert np.allclose(advanced.h.data[r], s1.h.data[0], rtol=1e-12, atol=1e-15)
+        p1, h1, _ = decode_step(dec, enc, para, [tok], h[r:r + 1], c[r:r + 1])
+        assert np.allclose(probs[r], p1[0], rtol=1e-12, atol=1e-15)
+        assert np.allclose(h2[r], h1[0], rtol=1e-12, atol=1e-15)
 
 
 @pytest.mark.parametrize("plan", [[7, 8, 9], [7, 8, 7]], ids=["distinct", "repeated"])
@@ -374,48 +389,30 @@ def test_decode_step_matches_the_teacher_forced_scorer(model, vocab, plan, bin_i
     r_z, states = _plan(enc, plan)
     rng = np.random.default_rng(17)
     h_y = ad.const(rng.uniform(-1, 1, (1, TWO_H)))
-    state = replace(init_decoder(dec, r_z, bin_id, states, plan, len(vocab)),
-                    h=ad.const(rng.uniform(-1, 1, (n_rows, TWO_H))),
-                    c=ad.const(rng.uniform(-1, 1, (n_rows, TWO_H))))
+    para = init_decoder(dec, enc, bin_id, states, plan, h_y, len(vocab))
+    h, c = rng.uniform(-1, 1, (n_rows, TWO_H)), rng.uniform(-1, 1, (n_rows, TWO_H))
     prev = [int(t) for t in rng.integers(0, len(vocab), n_rows)]
-    probs, advanced = decode_step(dec, enc, prev, state, h_y)
+    probs, h2, c2 = decode_step(dec, enc, para, prev, h, c)
     v = len(vocab)
     with ad.no_grad():
-        h_ref, c_ref = lstm_cell(dec.lstm_gen, decoder_inputs(enc, prev, h_y), state.h, state.c)
-        ref = output_distribution(dec, ad.const(np.repeat(advanced.h.data, v, axis=0)), state,
+        h_ref, c_ref = lstm_cell(dec.lstm_gen, decoder_inputs(enc, prev, h_y), ad.const(h),
+                                 ad.const(c))
+        ref = output_distribution(dec, ad.const(np.repeat(h2, v, axis=0)),
+                                  _attention(dec, bin_id, states, plan, vocab),
                                   np.tile(np.arange(v), n_rows))
-    np.testing.assert_allclose(advanced.h.data, h_ref.data, rtol=1e-12, atol=1e-15)
-    np.testing.assert_allclose(advanced.c.data, c_ref.data, rtol=1e-12, atol=1e-15)
-    np.testing.assert_allclose(probs.data, ref.data.reshape(n_rows, v), rtol=1e-12, atol=0)
-    assert np.abs(probs.data.sum(axis=1) - 1.0).max() <= 1e-12
-    # a state carried under another text state is rebuilt for this one
-    _, carried = decode_step(dec, enc, prev, state, ad.const(rng.uniform(-1, 1, (1, TWO_H))))
-    again, _ = decode_step(dec, enc, prev, replace(carried, h=state.h, c=state.c), h_y)
-    assert again.data.tobytes() == probs.data.tobytes()
+    np.testing.assert_allclose(h2, h_ref.data, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(c2, c_ref.data, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(probs, ref.data.reshape(n_rows, v), rtol=1e-12, atol=0)
+    assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-12
 
 
 def test_decode_step_records_nothing(model, vocab):
     enc, dec = model
     r_z, states = _plan(enc, [7, 8, 9])
-    state = init_decoder(dec, r_z, 0, states, [7, 8, 9], len(vocab))
-    h_y = ad.zeros((1, TWO_H))
+    h, c = _start(r_z, 2)
     with ad.graph_scope() as graph:
-        probs, state = decode_step(dec, enc, [vocab.bos_id, 7], state, h_y)
-        probs, state = decode_step(dec, enc, [8, 9], state, h_y)
+        para = init_decoder(dec, enc, 0, states, [7, 8, 9], ad.zeros((1, TWO_H)), len(vocab))
+        probs, h, c = decode_step(dec, enc, para, [vocab.bos_id, 7], h, c)
+        probs, h, c = decode_step(dec, enc, para, [8, 9], h, c)
     assert graph.nodes == []
-    assert not (probs.requires_grad or state.h.requires_grad or state.c.requires_grad)
-
-
-def test_decode_step_rejects_several_or_padded_plans_or_text_states(model, vocab):
-    enc, dec = model
-    pe = encode_pool(enc, [[7, 8, 9], [7, 8]])
-    two = init_paragraph_decoders(dec, pe.pooled, [0, 1], pe.token_states,
-                                  [[7, 8, 9], [7, 8]], len(vocab))
-    padded = init_paragraph_decoders(dec, pe.plan_vector(1), [0],
-                                     ad.narrow(pe.token_states, 0, 1, 1), [[7, 8]], len(vocab))
-    one = init_decoder(dec, pe.plan_vector(0), 0, pe.plan_token_states(0), [7, 8, 9],
-                       len(vocab))
-    for state, h_y in ((two, ad.zeros((1, TWO_H))), (padded, ad.zeros((1, TWO_H))),
-                       (one, ad.zeros((2, TWO_H)))):
-        with pytest.raises(ad.ShapeError, match="one unpadded plan and one text state"):
-            decode_step(dec, enc, [vocab.bos_id] * state.h.shape[0], state, h_y)
+    assert all(type(a) is np.ndarray for a in (probs, h, c))

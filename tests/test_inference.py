@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plangen import autodiff as ad
+from plangen import inference as inf
 from plangen import synth
 from plangen.autodiff import ParameterError
 from plangen.corpus import DataError
@@ -18,6 +20,7 @@ from plangen.inference import (
     read_generations,
     write_generations,
 )
+from plangen.planner import PlanDistribution
 from plangen.training import TrainConfig, prepare_game, train
 
 
@@ -114,31 +117,45 @@ def trained():
     return schema, games, result
 
 
-def test_generation_contracts(trained):
+def _eop_least_likely(real_prior):
+    """The trained prior, with EOP made the least likely choice: this
+    fixture's model ends every held-out document after one paragraph."""
+
+    def prior(pp, h_z, h_y, pool_encodings):
+        probs = real_prior(pp, h_z, h_y, pool_encodings).probs.data.copy()
+        probs[0, -1] = 1e-9
+        probs /= probs.sum()
+        return PlanDistribution(probs=ad.const(probs), log_probs=ad.const(np.log(probs)))
+
+    return prior
+
+
+def test_generation_contracts(trained, monkeypatch):
     schema, games, result = trained
     cfg = DecodeConfig(beam_size=2, bin_policy=result.tuned_bins)
-    for game in games[22:]:
-        pg = prepare_game(game, schema, result.vocab, result.bins)
-        out = generate_document(result.model, pg.pool, pg.ext_plan_tokens,
-                                result.vocab, cfg)
-        assert len(out.paragraphs) == len(out.plan.steps)
-        assert len(out.plan.steps) <= cfg.max_paragraphs
-        assert out.plan.terminated or len(out.plan.steps) == cfg.max_paragraphs
-        for i, cand in enumerate(out.plan.steps):
-            assert brute_force_allowed(out.plan.steps[:i], cand, cfg)
-        again = generate_document(result.model, pg.pool, pg.ext_plan_tokens,
-                                  result.vocab, cfg)
-        assert again.paragraphs == out.paragraphs
-        assert again.plan.steps == out.plan.steps
+    longest = 0
+    for prior in (inf.prior_plan_distribution, _eop_least_likely(inf.prior_plan_distribution)):
+        monkeypatch.setattr(inf, "prior_plan_distribution", prior)
+        for game in games[22:]:
+            pg = prepare_game(game, schema, result.vocab, result.bins)
+            out = generate_document(result.model, pg.pool, pg.ext_plan_tokens,
+                                    result.vocab, cfg)
+            assert len(out.paragraphs) == len(out.plan.steps)
+            assert len(out.plan.steps) <= cfg.max_paragraphs
+            assert out.plan.terminated or len(out.plan.steps) == cfg.max_paragraphs
+            for i, cand in enumerate(out.plan.steps):
+                assert brute_force_allowed(out.plan.steps[:i], cand, cfg)
+            again = generate_document(result.model, pg.pool, pg.ext_plan_tokens,
+                                      result.vocab, cfg)
+            assert again.paragraphs == out.paragraphs
+            assert again.plan.steps == out.plan.steps
+            longest = max(longest, len(out.plan.steps))
+    assert longest >= 3  # the blocking rules were checked on multi-paragraph plans
 
 
 def test_immediate_eop_gives_empty_document(trained, monkeypatch):
     schema, games, result = trained
     pg = prepare_game(games[0], schema, result.vocab, result.bins)
-    from plangen import autodiff as ad
-    from plangen import inference as inf
-    from plangen.planner import PlanDistribution
-
     def eop_first_prior(pp, h_z, h_y, pool_encodings):
         n = pool_encodings.shape[0]
         probs = np.full((1, n), 1e-6)
@@ -157,26 +174,16 @@ def test_immediate_eop_gives_empty_document(trained, monkeypatch):
 def test_capped_document_encodes_no_paragraph_after_the_last(trained, monkeypatch):
     # at the paragraph cap the loop ends before encoding the last paragraph
     # and stepping the state LSTMs, which nothing would read
-    from plangen import autodiff as ad
-    from plangen import inference as inf
-    from plangen.planner import PlanDistribution
-
     schema, games, result = trained
-    real_encode, real_prior, calls = inf.encode_paragraphs, inf.prior_plan_distribution, []
+    real_encode, calls = inf.encode_paragraphs, []
 
     def counting(enc, paragraphs):
         calls.append(len(paragraphs))
         return real_encode(enc, paragraphs)
 
-    def eop_last_prior(pp, h_z, h_y, pool_encodings):
-        # the trained prior, with EOP made the least likely choice
-        probs = real_prior(pp, h_z, h_y, pool_encodings).probs.data.copy()
-        probs[0, -1] = 1e-9
-        probs /= probs.sum()
-        return PlanDistribution(probs=ad.const(probs), log_probs=ad.const(np.log(probs)))
-
     monkeypatch.setattr(inf, "encode_paragraphs", counting)
-    monkeypatch.setattr(inf, "prior_plan_distribution", eop_last_prior)
+    monkeypatch.setattr(inf, "prior_plan_distribution",
+                        _eop_least_likely(inf.prior_plan_distribution))
     capped_docs = 0
     for game in games[22:]:
         pg = prepare_game(game, schema, result.vocab, result.bins)
@@ -198,8 +205,6 @@ def test_capped_document_encodes_no_paragraph_after_the_last(trained, monkeypatc
 
 
 def test_tune_bins_decodes_each_policy_once_and_picks_as_rescoring_all(trained, monkeypatch):
-    from plangen import inference as inf
-
     schema, games, result = trained
     prepared = [prepare_game(g, schema, result.vocab, result.bins) for g in games[22:]]
     real, scored = inf.greedy_bleu, []
@@ -246,10 +251,8 @@ def test_generation_file_roundtrip(tmp_path, trained):
 
 
 def test_decode_config_validation():
-    with pytest.raises(Exception):
-        DecodeConfig(max_paragraphs=0)
-    with pytest.raises(Exception):
+    with pytest.raises(ParameterError, match="max_unigram_repeats must be >= 1 or None"):
         DecodeConfig(max_unigram_repeats=0)
-    for name in ("beam_size", "max_paragraph_len"):
+    for name in ("max_paragraphs", "beam_size", "max_paragraph_len"):
         with pytest.raises(ParameterError, match=f"{name} must be >= 1, got 0"):
             DecodeConfig(**{name: 0})

@@ -14,7 +14,7 @@ from plangen import autodiff as ad
 from plangen import synth
 from plangen.corpus import DataError, Document, MacroPlan, assign_length_bins, build_vocab
 from plangen.encoders import lstm_cell
-from plangen.generator import decoder_inputs, init_decoder, output_distribution
+from plangen.generator import decoder_inputs, output_distribution, plan_attention
 from plangen.harness import TINY_SCHEMA, build_loss_fixture, tiny_game
 from plangen.planner import scheduled_sampling_rate
 from plangen.training import (
@@ -261,14 +261,16 @@ def per_token_loss(model, pg, cfg, k, rng, vocab):
     for t, tokens in enumerate(pg.paragraph_ids):
         # one game: row t of walk.h_y is the text state before paragraph t
         plan, h_y_prev = walk.chosen[0][t], ad.narrow(walk.h_y, 0, t, 1)
-        state = init_decoder(model.decoder, walk.pool_enc.plan_vector(plan), pg.bin_ids[t],
-                             walk.pool_enc.plan_token_states(plan),
-                             pg.ext_plan_tokens[plan], model.config.vocab_size)
-        prev, h, c = vocab.bos_id, state.h, state.c
+        states = walk.pool_enc.plan_token_states(plan)
+        att = plan_attention(model.decoder, [pg.bin_ids[t]],
+                             ad.reshape(states, (1,) + states.shape),
+                             [pg.ext_plan_tokens[plan]], model.config.vocab_size)
+        h = walk.pool_enc.plan_vector(plan)
+        prev, c = vocab.bos_id, ad.zeros(h.shape)
         for target in tokens + [vocab.eos_id]:
             x = decoder_inputs(model.encoder, [prev], h_y_prev)
             h, c = lstm_cell(model.decoder.lstm_gen, x, h, c)
-            probs = output_distribution(model.decoder, h, state, [target])
+            probs = output_distribution(model.decoder, h, att, [target])
             recon = ad.add(recon, ad.log(probs))
             prev = target
     total = ad.neg(ad.add(ad.sub(recon, walk.kl),
@@ -470,6 +472,17 @@ def test_training_smoke_loss_decreases_across_reseeded_runs():
         if losses[-1] < losses[0]:
             wins += 1
     assert wins >= 8
+
+
+def test_train_without_validation_games_is_data_error():
+    # from the second epoch on, a validation-accuracy tie is broken on BLEU,
+    # which needs validation documents to score
+    schema, train_games, _ = _toy_split(4, 0)
+    epochs_run = []
+    with pytest.raises(DataError, match="at least one validation game"):
+        train(schema, train_games, [], TrainConfig(hidden=4, embed=4, epochs=2, seed=0),
+              progress=lambda *row: epochs_run.append(row))
+    assert epochs_run == []
 
 
 def test_lr_zero_leaves_parameters_unchanged():

@@ -1,6 +1,6 @@
 """Paired A/B timing of two plangen trees in one process.
 
-    python3 tools/ab.py OLD_TREE NEW_TREE [--unit generate|gradcheck] [--seed N]
+    python3 tools/ab.py OLD_TREE NEW_TREE [--unit generate|train|gradcheck] [--seed N]
 
 Each tree's ``src/plangen`` is loaded as its own renamed package
 (``plangen_old``, ``plangen_new``), so both sides run in one process under
@@ -14,6 +14,13 @@ pair.  A pair's two outputs must be equal, else the script stops.
   checkpoint, which the old side trains as the workload's fixture is
   trained (80 games, 2 epochs, seed 0).  Outputs: the paragraphs, the plan
   and the truncation flags, compared exactly.
+* ``train``: one toy 4-game update at hidden 32, as the ``train`` workload
+  runs it, minus the optimizer step: ``compute_loss`` at k = 250 (half the
+  plan steps sampled) with its rng seeded by the unit index, ``backward``
+  and ``clip_global_norm``, 300 times over 48 synth games (drawn from the
+  workload seed N).  Both sides keep one fixed model, built from seed 0, so
+  they stay on the same parameters.  Outputs: the mean loss and the
+  gradient norm, each equal to 1e-9 relative.
 * ``gradcheck``: one no-grad evaluation of the hidden-4 loss fixture
   (``harness.build_loss_fixture``), as finite differences evaluate it, 1,000
   times.  Output: the loss, equal to 1e-9 relative.
@@ -56,6 +63,11 @@ def load_tree(tree: str, name: str) -> SimpleNamespace:
     return SimpleNamespace(**{m: importlib.import_module(f"{name}.{m}") for m in MODULES})
 
 
+def _workload_seed(seed: int, stream: int) -> int:
+    """The synth seed that the benchmark workloads draw for ``stream``."""
+    return int(np.random.SeedSequence((seed, stream, 7919)).generate_state(1)[0])
+
+
 def generate_units(sides: list[SimpleNamespace], seed: int):
     old = sides[0]
     toy = old.cli.PROFILES["toy"]
@@ -63,7 +75,7 @@ def generate_units(sides: list[SimpleNamespace], seed: int):
     cfg = old.training.TrainConfig(decay_slope=toy["decay_slope"],
                                    batch_size=toy["batch_size"], epochs=2, seed=0)
     fixture = old.training.train(schema, games[:80], games[80:], cfg)
-    test_seed = int(np.random.SeedSequence((seed, 2, 7919)).generate_state(1)[0])
+    test_seed = _workload_seed(seed, 2)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.ckpt"
         old.training.save_checkpoint(path, fixture.model, fixture.vocab, fixture.bins,
@@ -90,6 +102,42 @@ def _generate_unit(side: SimpleNamespace, checkpoint: Path, test_seed: int):
     return unit
 
 
+TRAIN_K = 250
+
+
+def train_units(sides: list[SimpleNamespace], seed: int):
+    def make(side):
+        toy = side.cli.PROFILES["toy"]
+        cfg = side.training.TrainConfig(decay_slope=toy["decay_slope"],
+                                        batch_size=toy["batch_size"])
+        games, schema = side.synth.generate_toy_corpus(_workload_seed(seed, 1), 48)
+        vocab = side.corpus.build_vocab(games, schema, cfg.min_count)
+        bins = side.corpus.assign_length_bins(
+            [len(p) for g in games for p in g.document.paragraphs], cfg.bins)
+        sizes = side.training.ModelConfig(vocab_size=len(vocab), hidden=cfg.hidden,
+                                          embed=cfg.embed, bins=cfg.bins)
+        model = side.training.ModelParams.create(np.random.default_rng(0), sizes)
+        prepared = [side.training.prepare_game(g, schema, vocab, bins) for g in games]
+        params, ad = list(model.named().values()), side.autodiff
+
+        def unit(i: int) -> tuple[float, float]:
+            start = i * cfg.batch_size % len(prepared)
+            batch = prepared[start:start + cfg.batch_size]
+            with ad.graph_scope():
+                model.zero_grad()
+                loss = side.training.compute_loss(model, batch, cfg, TRAIN_K,
+                                                  np.random.default_rng(i), vocab)
+                ad.backward(ad.mul(ad.sum_(loss.total), ad.const(1.0 / len(batch))))
+            return float(loss.total.data.mean()), ad.clip_global_norm(params, cfg.clip_norm)
+
+        return unit
+
+    def equal(a, b):
+        return all(abs(x - y) <= 1e-9 * abs(y) for x, y in zip(a, b))
+
+    return [make(side) for side in sides], 300, equal
+
+
 def gradcheck_units(sides: list[SimpleNamespace], seed: int):
     def make(side):
         fixture = side.harness.build_loss_fixture(hidden=4)
@@ -101,6 +149,9 @@ def gradcheck_units(sides: list[SimpleNamespace], seed: int):
         return unit
 
     return [make(side) for side in sides], 1000, lambda a, b: abs(a - b) <= 1e-9 * abs(b)
+
+
+UNITS = {"generate": generate_units, "train": train_units, "gradcheck": gradcheck_units}
 
 
 def run_pairs(units, n_pairs: int, equal) -> np.ndarray:
@@ -121,12 +172,11 @@ def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old_tree")
     parser.add_argument("new_tree")
-    parser.add_argument("--unit", choices=("generate", "gradcheck"), default="generate")
+    parser.add_argument("--unit", choices=sorted(UNITS), default="generate")
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     sides = [load_tree(args.old_tree, "plangen_old"), load_tree(args.new_tree, "plangen_new")]
-    make_units = generate_units if args.unit == "generate" else gradcheck_units
-    units, n_pairs, equal = make_units(sides, args.seed)
+    units, n_pairs, equal = UNITS[args.unit](sides, args.seed)
     times = run_pairs(units, n_pairs, equal) * 1e3
     print(f"unit {args.unit}, seed {args.seed}: {n_pairs} pairs, outputs equal")
     for label, col in (("old", times[:, 0]), ("new", times[:, 1])):
